@@ -71,7 +71,6 @@ from .ngrams import (
     build_bow_vocabulary,
     extract_terms,
     vectorize,
-    vectorize_bow,
     weight_term,
 )
 from .report import render_report
@@ -81,7 +80,6 @@ from .tracker import (
     IssueRecord,
     Recommendation,
     TrackerConfig,
-    fetch_issue,
     is_ready_to_remove,
     recommend,
 )
@@ -115,7 +113,6 @@ __all__ = [
     "extract_terms",
     "build_bow_vocabulary",
     "vectorize",
-    "vectorize_bow",
     "weight_term",
     "Label",
     "Dataset",
@@ -145,7 +142,6 @@ __all__ = [
     "IssueRecord",
     "TrackerConfig",
     "IssueGateway",
-    "fetch_issue",
     "is_ready_to_remove",
     "recommend",
     "Recommendation",

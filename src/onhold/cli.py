@@ -214,19 +214,15 @@ def _patterns_from_args(
 _JIRA_KEY = re.compile(r"^([A-Za-z][A-Za-z0-9]*)-\d+$")
 
 
-def _derive_patterns(
-    args: argparse.Namespace,
-    issue_keys: Sequence[str],
-    config: ProjectConfig | None = None,
-) -> Patterns:
-    """Patterns from flags/config, else inferred from dataset issue keys.
+def _derive_patterns(args: argparse.Namespace, issue_keys: Sequence[str]) -> Patterns:
+    """Patterns from flags, else inferred from dataset issue keys.
 
     Without explicit tracker flags, Jira pattern sets are instantiated
     for every distinct ``KEY-123`` prefix seen in the data, alongside
     the keyless Bugzilla and GitHub sets.
     """
-    if getattr(args, "tracker", None) or (config and config.tracker):
-        return _patterns_from_args(args, config)
+    if getattr(args, "tracker", None):
+        return _patterns_from_args(args)
     sets = [
         build_patterns(TrackerKind.BUGZILLA, ""),
         build_patterns(TrackerKind.GITHUB, ""),
@@ -288,28 +284,23 @@ def _cmd_mine(args: argparse.Namespace) -> None:
     lifecycles = miner.trace_lifecycles(
         repo, history, patterns, include_tests=args.include_tests
     )
-    rows: list[list[str]] = []
-    for lc in lifecycles:
-        references = find_issue_references(lc.block.normalized_text, patterns)
-        if not references:
-            continue
-        first = references[0]
-        rows.append(
-            [
-                lc.block.normalized_text,
-                lc.block.file_path,
-                str(lc.block.start_line),
-                str(lc.block.end_line),
-                first.key,
-                first.tracker.value,
-                lc.introduced_commit,
-                format_timestamp(lc.introduced_date),
-                lc.removed_commit or "",
-                format_timestamp(lc.removed_date) if lc.removed_date else "",
-                "true" if lc.ambiguous else "false",
-                lc.block.raw_text,
-            ]
-        )
+    rows = [
+        [
+            lc.block.normalized_text,
+            lc.block.file_path,
+            str(lc.block.start_line),
+            str(lc.block.end_line),
+            lc.issue_key,
+            lc.tracker.value,
+            lc.introduced_commit,
+            format_timestamp(lc.introduced_date),
+            lc.removed_commit or "",
+            format_timestamp(lc.removed_date) if lc.removed_date else "",
+            "true" if lc.ambiguous else "false",
+            lc.block.raw_text,
+        ]
+        for lc in lifecycles
+    ]
     _emit(datasetio.format_table(LIFECYCLE_COLUMNS, rows), args.out)
     _info(
         f"mined {len(history)} commits in {repo}: "
@@ -445,7 +436,7 @@ def _cmd_classify(args: argparse.Namespace) -> None:
 
 
 def _lifecycle_from_fields(
-    cell: Callable[[str], str], location: str
+    cell: Callable[[str], str], location: str, issue_key: str, kind: TrackerKind
 ) -> CommentLifecycle:
     text = cell("comment_text")
     raw = cell("raw_text") or _as_raw_comment(text)
@@ -468,6 +459,8 @@ def _lifecycle_from_fields(
         )
         return CommentLifecycle(
             block=block,
+            issue_key=issue_key,
+            tracker=kind,
             introduced_commit=cell("introduced_commit") or "unknown",
             introduced_date=introduced_date,
         )
@@ -480,10 +473,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
     header, numbered = datasetio.load_table(args.input)
     positions = datasetio.column_positions(header)
     _require_column(positions, "comment_text", str(args.input))
-    key_column = _require_column(positions, "issue_key", str(args.input))
-    patterns = _derive_patterns(
-        args, [fields[key_column] for _, fields in numbered], config
-    )
+    _require_column(positions, "issue_key", str(args.input))
     flag_kinds = [TrackerKind.parse(t) for t in (args.tracker or [])]
     default_kind = (
         flag_kinds[0]
@@ -528,9 +518,9 @@ def _cmd_check(args: argparse.Namespace) -> None:
                 "add a tracker column or pass --tracker"
             )
         per_tracker.setdefault(kind, set()).add(key)
-        lifecycles.append(_lifecycle_from_fields(cell, location))
+        lifecycles.append(_lifecycle_from_fields(cell, location, key, kind))
 
-    records: dict[str, tracker.IssueRecord | None] = {}
+    records: dict[tuple[TrackerKind, str], tracker.IssueRecord | None] = {}
     for kind in sorted(per_tracker, key=lambda item: item.value):
         gateway_config = tracker.TrackerConfig(
             tracker=kind,
@@ -540,9 +530,10 @@ def _cmd_check(args: argparse.Namespace) -> None:
             cache_dir=cache_dir or None,
         )
         gateway = tracker.IssueGateway(gateway_config)
-        records.update(gateway.fetch_many(sorted(per_tracker[kind])))
+        fetched = gateway.fetch_many(sorted(per_tracker[kind]))
+        records.update(((kind, key), record) for key, record in fetched.items())
 
-    recommendations = tracker.recommend(lifecycles, records, patterns)
+    recommendations = tracker.recommend(lifecycles, records)
     _emit(report.render_report(recommendations, "json"), args.out)
     ready = sum(1 for rec in recommendations if rec.ready)
     _info(

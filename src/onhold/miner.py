@@ -9,15 +9,16 @@ which keeps merged side-branch duplicates out of the counts.
 
 from __future__ import annotations
 
+import logging
 import subprocess
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path, PurePosixPath
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ConfigError
 from .javalex import CommentBlock, extract_comments, normalize_whitespace
-from .issues import Patterns, find_issue_references
+from .issues import IssueReference, Patterns, TrackerKind, find_issue_references
 
 __all__ = [
     "ChangedFile",
@@ -32,6 +33,8 @@ __all__ = [
 ]
 
 _NAME_SUFFIXES = ("testcase", "tests", "test")
+
+log = logging.getLogger("onhold.miner")
 
 
 def is_test_file(path: str) -> bool:
@@ -68,6 +71,7 @@ def is_test_file(path: str) -> bool:
 class ChangedFile:
     path: str
     status: str  # "A" added, "M" modified, "D" deleted
+    blob: str  # object id of the post-image blob (all zeros when deleted)
 
     def __post_init__(self) -> None:
         if self.status not in ("A", "M", "D"):
@@ -83,9 +87,14 @@ class HistoryEntry:
 
 @dataclass(frozen=True)
 class CommentLifecycle:
-    """One episode of an issue-referencing comment living in one file."""
+    """One episode of an issue-referencing comment living in one file.
+
+    ``issue_key`` and ``tracker`` name the first issue the comment cites.
+    """
 
     block: CommentBlock
+    issue_key: str
+    tracker: TrackerKind
     introduced_commit: str
     introduced_date: datetime
     removed_commit: str | None = None
@@ -112,10 +121,16 @@ class CommentLifecycle:
 
 
 def _run_git(repo_path: str | Path, *args: str) -> str:
+    """stdout of one git command; ConfigError carrying git's message on failure.
+
+    Bytes that are not UTF-8 (raw path bytes under ``-z``) decode to
+    lone surrogates instead of failing.
+    """
     result = subprocess.run(
         ["git", "-C", str(repo_path), *args],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
+        errors="surrogateescape",
     )
     if result.returncode != 0:
         raise ConfigError(
@@ -124,75 +139,72 @@ def _run_git(repo_path: str | Path, *args: str) -> str:
     return result.stdout
 
 
-def _git_succeeds(repo_path: str | Path, *args: str) -> bool:
-    result = subprocess.run(
-        ["git", "-C", str(repo_path), *args],
-        capture_output=True,
-        text=True,
-    )
-    return result.returncode == 0
-
-
 _RECORD_MARK = "\x01"
 
 
 def walk_history(repo_path: str | Path, branch: str = "HEAD") -> list[HistoryEntry]:
     """Commits of the branch's first-parent chain, oldest first.
 
-    Each entry lists the changed .java files with their status; merge
-    commits are diffed against their first parent only and renames are
-    reported as delete + add.
+    Each entry lists the changed .java files with their status and
+    post-image blob id; merge commits are diffed against their first
+    parent only and renames are reported as delete + add.  A .java path
+    that is not valid UTF-8 cannot be written to a UTF-8 table, so it is
+    skipped with one warning naming it.
     """
-    if not _git_succeeds(repo_path, "rev-parse", "--git-dir"):
-        raise ConfigError(f"{repo_path} is not a git repository")
-    if not _git_succeeds(repo_path, "rev-parse", "--verify", "--quiet",
-                         f"{branch}^{{commit}}"):
+    _run_git(repo_path, "rev-parse", "--git-dir")
+    try:
+        _run_git(repo_path, "rev-parse", "--verify", "--quiet", f"{branch}^{{commit}}")
+    except ConfigError:
         if branch == "HEAD":
             return []  # repository without commits
-        raise ConfigError(f"branch {branch!r} not found in {repo_path}")
+        raise ConfigError(f"branch {branch!r} not found in {repo_path}") from None
 
+    # With -z git prints paths verbatim (no quoting of non-ASCII bytes,
+    # tabs or newlines) and ends every field with NUL: each commit is
+    # MARK hash TAB date NUL, then one ":modes old new STATUS" NUL path
+    # NUL per file.  Blobs are later read by id, so no path is ever
+    # written into the cat-file request stream.
     out = _run_git(
         repo_path,
         "log",
+        "-z",
         "--first-parent",
         "--reverse",
         "--no-renames",
         "--diff-merges=first-parent",
-        "--name-status",
+        "--raw",
+        "--no-abbrev",
         f"--format={_RECORD_MARK}%H%x09%cI",
         branch,
     )
-    entries: list[HistoryEntry] = []
-    commit_id = ""
-    timestamp: datetime | None = None
-    changes: list[ChangedFile] = []
-
-    def flush() -> None:
-        if timestamp is not None:
-            entries.append(HistoryEntry(commit_id, timestamp, tuple(changes)))
-
-    for line in out.splitlines():
-        if line.startswith(_RECORD_MARK):
-            flush()
-            commit_id, _, stamp = line[1:].partition("\t")
-            timestamp = datetime.fromisoformat(stamp)
-            changes = []
+    commits: list[tuple[str, str, list[ChangedFile]]] = []
+    undecodable: set[str] = set()
+    fields = iter(out.split("\0"))
+    for field in fields:
+        if field.startswith(_RECORD_MARK):
+            commit_id, _, stamp = field[1:].partition("\t")
+            commits.append((commit_id, stamp, []))
             continue
-        if not line.strip():
+        meta = field.split()
+        if len(meta) != 5:
             continue
-        status_field, _, path = line.partition("\t")
-        if not path:
+        path = next(fields, "")
+        status = "M" if meta[4] == "T" else meta[4]  # type change: content matters
+        if status not in ("A", "M", "D") or not path.lower().endswith(".java"):
             continue
-        status = status_field[0]
-        if status == "T":
-            status = "M"  # type change: content is what matters here
-        if status not in ("A", "M", "D"):
+        try:
+            path.encode("utf-8")
+        except UnicodeEncodeError:
+            undecodable.add(path)
             continue
-        if not path.lower().endswith(".java"):
-            continue
-        changes.append(ChangedFile(path, status))
-    flush()
-    return entries
+        commits[-1][2].append(ChangedFile(path, status, meta[3]))
+    for path in sorted(undecodable):
+        log.warning("skipping %s: path is not valid UTF-8",
+                    ascii(path.encode("utf-8", "surrogateescape"))[1:])
+    return [
+        HistoryEntry(commit_id, datetime.fromisoformat(stamp), tuple(changes))
+        for commit_id, stamp, changes in commits
+    ]
 
 
 class GitCatFile:
@@ -205,17 +217,25 @@ class GitCatFile:
             stdout=subprocess.PIPE,
         )
 
-    def read_text(self, commit_id: str, path: str) -> str | None:
-        """Blob content at commit:path, or None when absent."""
+    def read_text(self, commit_id: str, change: ChangedFile) -> str | None:
+        """Content of the changed file's blob, or None when git lacks it.
+
+        The blob is requested by id.  Raises ConfigError naming the
+        commit and path when git answers with nothing (it died), so a
+        dead reader is never mistaken for a deleted file.
+        """
         assert self._proc.stdin is not None and self._proc.stdout is not None
-        request = f"{commit_id}:{path}\n".encode("utf-8")
-        self._proc.stdin.write(request)
+        self._proc.stdin.write(f"{change.blob}\n".encode("ascii"))
         self._proc.stdin.flush()
         header = self._proc.stdout.readline().decode("utf-8", "replace").strip()
-        if header.endswith(("missing", "ambiguous")) or not header:
+        if not header:
+            raise ConfigError(
+                f"git cat-file gave no answer for {commit_id}:{change.path}; "
+                "git has exited"
+            )
+        if header.endswith(("missing", "ambiguous")):
             return None
-        parts = header.split()
-        size = int(parts[-1])
+        size = int(header.split()[-1])
         body = self._proc.stdout.read(size)
         self._proc.stdout.read(1)  # trailing newline
         return body.decode("utf-8", errors="replace")
@@ -235,22 +255,30 @@ class GitCatFile:
 @dataclass
 class _OpenEpisode:
     block: CommentBlock
+    issue_key: str
+    tracker: TrackerKind
     introduced_commit: str
     introduced_date: datetime
-    introduced_index: int
     ambiguous: bool
 
-
-def _issue_matcher(patterns: Patterns | Callable[[str], bool]) -> Callable[[str], bool]:
-    if callable(patterns):
-        return patterns
-    return lambda text: bool(find_issue_references(text, patterns))
+    def lifecycle(self, removed: HistoryEntry | None = None) -> CommentLifecycle:
+        """The finished lifecycle; a removal clock running backwards is clamped."""
+        return CommentLifecycle(
+            block=self.block,
+            issue_key=self.issue_key,
+            tracker=self.tracker,
+            introduced_commit=self.introduced_commit,
+            introduced_date=self.introduced_date,
+            removed_commit=removed.commit_id if removed else None,
+            removed_date=max(removed.timestamp, self.introduced_date) if removed else None,
+            ambiguous=self.ambiguous,
+        )
 
 
 def trace_lifecycles(
     repo_path: str | Path,
     history: Sequence[HistoryEntry],
-    issue_matcher: Patterns | Callable[[str], bool],
+    patterns: Patterns,
     include_tests: bool = False,
 ) -> list[CommentLifecycle]:
     """Trace every issue-referencing comment's introduction and removal.
@@ -261,75 +289,53 @@ def trace_lifecycles(
     starts a fresh lifecycle.  Equal texts occurring several times in
     one file at once are traced as a single lifecycle with the ambiguous
     flag set.  If commit clocks run backwards, a removal timestamp is
-    clamped to the introduction timestamp.
+    clamped to the introduction timestamp.  Each comment's issue is the
+    first reference detected in its text.
     """
-    matches = _issue_matcher(issue_matcher)
-    active: dict[tuple[str, str], _OpenEpisode] = {}
+    # Open episodes per file path, keyed by normalized text.
+    active: dict[str, dict[str, _OpenEpisode]] = {}
     finished: list[CommentLifecycle] = []
 
-    def close(episode: _OpenEpisode, entry: HistoryEntry) -> None:
-        removed_date = max(entry.timestamp, episode.introduced_date)
-        finished.append(
-            CommentLifecycle(
-                block=episode.block,
-                introduced_commit=episode.introduced_commit,
-                introduced_date=episode.introduced_date,
-                removed_commit=entry.commit_id,
-                removed_date=removed_date,
-                ambiguous=episode.ambiguous,
-            )
-        )
-
     with GitCatFile(repo_path) as blobs:
-        for entry_index, entry in enumerate(history):
+        for entry in history:
             for change in entry.changes:
                 if not include_tests and is_test_file(change.path):
                     continue
-                if change.status == "D":
-                    present: dict[str, CommentBlock] = {}
-                    counts: dict[str, int] = {}
-                else:
-                    source = blobs.read_text(entry.commit_id, change.path)
-                    if source is None:
-                        present, counts = {}, {}
-                    else:
-                        present, counts = {}, {}
-                        for block in extract_comments(source, change.path):
-                            if not matches(block.normalized_text):
-                                continue
-                            key = normalize_whitespace(block.normalized_text)
-                            counts[key] = counts.get(key, 0) + 1
-                            if key not in present:
-                                present[key] = block
+                blocks: list[CommentBlock] = []
+                if change.status != "D":
+                    source = blobs.read_text(entry.commit_id, change)
+                    if source is not None:
+                        blocks = extract_comments(source, change.path)
+                present: dict[str, tuple[CommentBlock, IssueReference]] = {}
+                counts: dict[str, int] = {}
+                for block in blocks:
+                    references = find_issue_references(block.normalized_text, patterns)
+                    if not references:
+                        continue
+                    key = normalize_whitespace(block.normalized_text)
+                    counts[key] = counts.get(key, 0) + 1
+                    present.setdefault(key, (block, references[0]))
+                in_file = active.setdefault(change.path, {})
                 # Close episodes whose text vanished from this file.
-                for (path, key), episode in list(active.items()):
-                    if path == change.path and key not in present:
-                        close(episode, entry)
-                        del active[(path, key)]
+                for key in [key for key in in_file if key not in present]:
+                    finished.append(in_file.pop(key).lifecycle(entry))
                 # Open episodes for newly appeared texts; refresh flags.
-                for key, block in present.items():
-                    slot = (change.path, key)
-                    episode = active.get(slot)
+                for key, (block, reference) in present.items():
+                    episode = in_file.get(key)
                     if episode is None:
-                        active[slot] = _OpenEpisode(
+                        in_file[key] = _OpenEpisode(
                             block=block,
+                            issue_key=reference.key,
+                            tracker=reference.tracker,
                             introduced_commit=entry.commit_id,
                             introduced_date=entry.timestamp,
-                            introduced_index=entry_index,
                             ambiguous=counts[key] > 1,
                         )
                     elif counts[key] > 1:
                         episode.ambiguous = True
 
-    for episode in active.values():
-        finished.append(
-            CommentLifecycle(
-                block=episode.block,
-                introduced_commit=episode.introduced_commit,
-                introduced_date=episode.introduced_date,
-                ambiguous=episode.ambiguous,
-            )
-        )
+    for in_file in active.values():
+        finished.extend(episode.lifecycle() for episode in in_file.values())
     finished.sort(
         key=lambda lc: (lc.introduced_date, lc.introduced_commit,
                         lc.block.file_path, lc.block.start_line, lc.text_key)
@@ -339,7 +345,7 @@ def trace_lifecycles(
 
 def mine_repository(
     repo_path: str | Path,
-    patterns: Patterns | Callable[[str], bool],
+    patterns: Patterns,
     branch: str = "HEAD",
     include_tests: bool = False,
 ) -> list[CommentLifecycle]:

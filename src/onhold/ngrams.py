@@ -112,12 +112,16 @@ class NGramVocabulary:
     terms: tuple[NGramTerm, ...]
     source: str = ""
     _index: dict[TokenTuple, int] = field(init=False, repr=False, compare=False)
+    max_len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index = {term.tokens: i for i, term in enumerate(self.terms)}
         if len(index) != len(self.terms):
             raise ValueError("duplicate terms in vocabulary")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(
+            self, "max_len", max((len(t.tokens) for t in self.terms), default=0)
+        )
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -127,10 +131,6 @@ class NGramVocabulary:
 
     def index_of(self, tokens: Sequence[str]) -> int | None:
         return self._index.get(tuple(tokens))
-
-    @property
-    def max_len(self) -> int:
-        return max((len(t.tokens) for t in self.terms), default=0)
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,6 @@ def vectorize(comment: Sequence[str], vocab: NGramVocabulary) -> FeatureVector:
         if idx is not None:
             found.add(idx)
     return FeatureVector(tuple(sorted(found)))
-
-
-def vectorize_bow(comment: Sequence[str], bow_vocab: NGramVocabulary) -> FeatureVector:
-    return vectorize(comment, bow_vocab)
 
 
 def format_vocabulary(vocab: NGramVocabulary) -> str:

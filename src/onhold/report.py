@@ -121,13 +121,16 @@ def recommendations_from_payload(payload: dict[str, Any]) -> list[Recommendation
                 raw_text=_comment_as_raw(finding["comment_text"]),
                 normalized_text=finding["comment_text"],
             )
+            kind = TrackerKind(finding["tracker"])
             lifecycle = CommentLifecycle(
                 block=block,
+                issue_key=finding["issue_key"],
+                tracker=kind,
                 introduced_commit=finding["introduced_commit"],
                 introduced_date=introduced,
             )
             record = IssueRecord(
-                tracker=TrackerKind(finding["tracker"]),
+                tracker=kind,
                 key=finding["issue_key"],
                 raw_status=finding["issue_status"],
                 raw_resolution=finding.get("issue_resolution"),

@@ -26,7 +26,7 @@ from .errors import (
     TrackerError,
     TrackerTemporaryError,
 )
-from .issues import IssueReference, TrackerKind
+from .issues import TrackerKind
 from .miner import CommentLifecycle
 from .timestamps import format_timestamp, parse_timestamp
 
@@ -332,16 +332,6 @@ class IssueGateway:
         return results
 
 
-def fetch_issue(
-    reference: IssueReference | str,
-    config: TrackerConfig,
-    transport: Transport | None = None,
-) -> IssueRecord:
-    """One-shot fetch of the issue behind a reference (or a bare key)."""
-    key = reference.key if isinstance(reference, IssueReference) else str(reference)
-    return IssueGateway(config, transport).fetch(key)
-
-
 @dataclass(frozen=True)
 class Recommendation:
     lifecycle: CommentLifecycle
@@ -383,33 +373,24 @@ def _draft_report(lifecycle: CommentLifecycle, record: IssueRecord) -> str:
 
 def recommend(
     lifecycles: Sequence[CommentLifecycle],
-    records: Mapping[str, IssueRecord | None],
-    patterns,
+    records: Mapping[tuple[TrackerKind, str], IssueRecord | None],
 ) -> list[Recommendation]:
     """Pair remaining on-hold comments with issue state and verdicts.
 
-    Each comment is paired through its first detected issue reference;
-    comments whose issue could not be fetched are skipped with a
-    warning.  `patterns` is the same pattern set used for detection.
+    ``records`` is keyed by (tracker, issue key), so equal keys of two
+    trackers stay apart.  Each comment is paired with the record of its
+    ``tracker`` and ``issue_key``; comments whose issue could not be
+    fetched are skipped with a warning.
     """
-    from .issues import find_issue_references
-
     out: list[Recommendation] = []
     for lifecycle in lifecycles:
         if lifecycle.removed:
             continue
-        references = find_issue_references(lifecycle.block.normalized_text, patterns)
-        if not references:
-            log.warning(
-                "no issue reference found in %s:%d",
-                lifecycle.block.file_path, lifecycle.block.start_line,
-            )
-            continue
-        key = references[0].key
-        record = records.get(key)
+        record = records.get((lifecycle.tracker, lifecycle.issue_key))
         if record is None:
             log.warning("issue %s unavailable; comment at %s:%d skipped",
-                        key, lifecycle.block.file_path, lifecycle.block.start_line)
+                        lifecycle.issue_key, lifecycle.block.file_path,
+                        lifecycle.block.start_line)
             continue
         ready = is_ready_to_remove(record)
         out.append(

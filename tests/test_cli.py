@@ -306,6 +306,60 @@ class TestPipeline:
         assert finding["ready"] is True
         assert "1 ready to be removed" in capsys.readouterr().err
 
+    def test_check_pairs_each_row_by_its_issue_key_column(self, tmp_path):
+        table = datasetio.format_table(
+            ("comment_text", "file_path", "issue_key", "label"),
+            [
+                ["remove after HADOOP-9999 is fixed", "src/A.java", "HADOOP-6223",
+                 "OnHold"],
+                ["remove this workaround later", "src/B.java", "HADOOP-6223",
+                 "OnHold"],
+            ],
+        )
+        source = tmp_path / "remaining.tsv"
+        source.write_text(table, encoding="utf-8")
+        out = tmp_path / "check.json"
+        code = cli_main(
+            ["check", "--input", str(source), "--fixtures", str(FIXTURE_DIR),
+             "--tracker", "jira", "--out", str(out)]
+        )
+        assert code == 0
+        findings = json.loads(out.read_text(encoding="utf-8"))["findings"]
+        assert [(f["file_path"], f["issue_key"]) for f in findings] == [
+            ("src/A.java", "HADOOP-6223"),
+            ("src/B.java", "HADOOP-6223"),
+        ]
+
+    def test_check_keeps_equal_keys_of_two_trackers_apart(self, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "github_9.json").write_text(
+            '{"state": "closed", "closed_at": "2021-03-01T00:00:00Z"}', encoding="utf-8"
+        )
+        (fixtures / "bugzilla_9.json").write_text(
+            '{"bugs": [{"status": "NEW", "resolution": ""}]}', encoding="utf-8"
+        )
+        table = datasetio.format_table(
+            ("comment_text", "file_path", "issue_key", "tracker", "label"),
+            [
+                ["remove after issue 9", "src/A.java", "9", "github", "OnHold"],
+                ["remove after bug 9", "src/B.java", "9", "bugzilla", "OnHold"],
+            ],
+        )
+        source = tmp_path / "remaining.tsv"
+        source.write_text(table, encoding="utf-8")
+        out = tmp_path / "check.json"
+        code = cli_main(
+            ["check", "--input", str(source), "--fixtures", str(fixtures),
+             "--out", str(out)]
+        )
+        assert code == 0
+        findings = json.loads(out.read_text(encoding="utf-8"))["findings"]
+        assert [(f["file_path"], f["tracker"], f["ready"]) for f in findings] == [
+            ("src/A.java", "github", True),
+            ("src/B.java", "bugzilla", False),
+        ]
+
     def test_check_makes_no_network_calls(self, tmp_path, monkeypatch):
         import requests
 
@@ -433,6 +487,17 @@ class TestMine:
         assert self.mine(git_sandbox, first) == 0
         assert self.mine(git_sandbox, second) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_path_that_is_not_utf8_is_skipped_with_a_warning(
+        self, git_sandbox, tmp_path, caplog
+    ):
+        git_sandbox.write("src/caf\udce9.java", self.JAVA)  # raw byte 0xE9
+        git_sandbox.write("src/Server.java", self.JAVA)
+        git_sandbox.commit("add")
+        out = tmp_path / "mined.tsv"
+        assert self.mine(git_sandbox, out) == 0
+        assert [row[1] for row in read_table(out)[1]] == ["src/Server.java"]
+        assert "'src/caf\\xe9.java': path is not valid UTF-8" in caplog.text
 
     def test_non_repository_exits_one(self, tmp_path, capsys):
         empty = tmp_path / "not-a-repo"

@@ -6,13 +6,18 @@ commit dates, then asserts the exact lifecycles the miner must report.
 
 from __future__ import annotations
 
+import io
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import pytest
 
 from onhold.errors import ConfigError
+from onhold.issues import TrackerKind
 from onhold.miner import (
+    ChangedFile,
     CommentLifecycle,
+    GitCatFile,
     is_test_file,
     mine_repository,
     trace_lifecycles,
@@ -117,6 +122,47 @@ class TestWalkHistory:
         # The branch work surfaces as the merge commit's own diff.
         assert [(c.path, c.status) for c in entries[2].changes] == [("B.java", "A")]
 
+    def test_paths_with_non_ascii_letters_and_spaces_are_listed(self, git_sandbox):
+        git_sandbox.write("src/Été/A.java", PLAIN_JAVA)
+        git_sandbox.write("src/my dir/B C.java", PLAIN_JAVA)
+        git_sandbox.commit("add")
+        git_sandbox.delete("src/Été/A.java")
+        git_sandbox.commit("drop")
+
+        first, second = walk_history(git_sandbox.root)
+        assert sorted((c.path, c.status) for c in first.changes) == [
+            ("src/my dir/B C.java", "A"),
+            ("src/Été/A.java", "A"),
+        ]
+        assert [(c.path, c.status) for c in second.changes] == [("src/Été/A.java", "D")]
+
+    def test_commit_without_java_changes_is_kept(self, git_sandbox):
+        git_sandbox.write("README.md", "notes\n")
+        c1 = git_sandbox.commit("docs only")
+        c2 = git_sandbox.commit("empty")
+
+        entries = walk_history(git_sandbox.root)
+        assert [(e.commit_id, e.changes) for e in entries] == [(c1, ()), (c2, ())]
+
+
+class TestGitCatFile:
+    def test_dead_reader_raises_instead_of_reporting_absence(self):
+        reader = GitCatFile.__new__(GitCatFile)
+        reader._proc = SimpleNamespace(stdin=io.BytesIO(), stdout=io.BytesIO())
+        change = ChangedFile("src/A.java", "M", "ab" * 20)
+        with pytest.raises(ConfigError, match="c0ffee:src/A.java"):
+            reader.read_text("c0ffee", change)
+
+    def test_blobs_are_read_by_id(self, git_sandbox):
+        git_sandbox.write("A.java", PLAIN_JAVA)
+        git_sandbox.commit("add")
+        (entry,) = walk_history(git_sandbox.root)
+        (change,) = entry.changes
+        missing = ChangedFile("Nope.java", "A", "0" * 40)
+        with GitCatFile(git_sandbox.root) as reader:
+            assert reader.read_text(entry.commit_id, change) == PLAIN_JAVA
+            assert reader.read_text(entry.commit_id, missing) is None
+
 
 class TestTraceLifecycles:
     def mine(self, sandbox, patterns, **kwargs):
@@ -135,6 +181,38 @@ class TestTraceLifecycles:
         assert life.block.file_path == "A.java"
         assert life.block.start_line == 2
         assert life.ambiguous is False
+        assert (life.issue_key, life.tracker) == ("HADOOP-1234", TrackerKind.JIRA)
+
+    def test_first_reference_decides_the_issue(self, git_sandbox, jira_patterns):
+        git_sandbox.write("A.java", "// blocked on HADOOP-2 and HADOOP-1\nclass A {}\n")
+        git_sandbox.commit("add")
+        (life,) = self.mine(git_sandbox, jira_patterns)
+        assert life.issue_key == "HADOOP-2"
+
+    def test_non_ascii_path_is_mined(self, git_sandbox, jira_patterns):
+        git_sandbox.write("src/Été.java", ON_HOLD_JAVA)
+        c1 = git_sandbox.commit("add")
+        git_sandbox.write("src/Été.java", PLAIN_JAVA)
+        c2 = git_sandbox.commit("drop the comment")
+
+        (life,) = self.mine(git_sandbox, jira_patterns)
+        assert life.block.file_path == "src/Été.java"
+        assert (life.introduced_commit, life.removed_commit) == (c1, c2)
+
+    def test_newline_in_a_path_does_not_shift_later_reads(
+        self, git_sandbox, jira_patterns
+    ):
+        git_sandbox.write("src/a\nb.java", ON_HOLD_JAVA)
+        git_sandbox.write("src/z.java", ON_HOLD_JAVA.replace("1234", "77"))
+        c1 = git_sandbox.commit("add")
+        git_sandbox.write("src/z.java", PLAIN_JAVA)
+        c2 = git_sandbox.commit("drop the comment in z")
+
+        first, second = self.mine(git_sandbox, jira_patterns)
+        assert (first.block.file_path, first.issue_key) == ("src/a\nb.java", "HADOOP-1234")
+        assert (first.introduced_commit, first.removed_commit) == (c1, None)
+        assert (second.block.file_path, second.issue_key) == ("src/z.java", "HADOOP-77")
+        assert (second.introduced_commit, second.removed_commit) == (c1, c2)
 
     def test_edited_away_comment_is_removed(self, git_sandbox, jira_patterns):
         git_sandbox.write("A.java", ON_HOLD_JAVA)
@@ -252,12 +330,6 @@ class TestTraceLifecycles:
         git_sandbox.commit("add")
         assert self.mine(git_sandbox, jira_patterns) == []
 
-    def test_callable_matcher_is_accepted(self, git_sandbox):
-        git_sandbox.write("A.java", "// MAGIC marker\nclass A {}\n")
-        git_sandbox.commit("add")
-        (life,) = self.mine(git_sandbox, lambda text: "MAGIC" in text)
-        assert life.block.normalized_text == "MAGIC marker"
-
     def test_block_comment_line_range(self, git_sandbox, jira_patterns):
         source = "/* waiting on HADOOP-42\n   before enabling */\nclass A {}\n"
         git_sandbox.write("A.java", source)
@@ -323,6 +395,8 @@ class TestCommentLifecycleValidation:
         with pytest.raises(ValueError):
             CommentLifecycle(
                 block=self.make_block(),
+                issue_key="HADOOP-1",
+                tracker=TrackerKind.JIRA,
                 introduced_commit="c1",
                 introduced_date=datetime(2021, 1, 1, tzinfo=UTC),
                 removed_commit="c2",
@@ -333,6 +407,8 @@ class TestCommentLifecycleValidation:
         with pytest.raises(ValueError):
             CommentLifecycle(
                 block=self.make_block(),
+                issue_key="HADOOP-1",
+                tracker=TrackerKind.JIRA,
                 introduced_commit="c1",
                 introduced_date=datetime(2021, 1, 5, tzinfo=UTC),
                 removed_commit="c2",

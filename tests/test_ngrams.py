@@ -25,7 +25,6 @@ from onhold.ngrams import (
     format_vocabulary,
     parse_vocabulary,
     vectorize,
-    vectorize_bow,
     weight_term,
 )
 
@@ -178,11 +177,6 @@ class TestVectorize:
     def test_empty_vocabulary_is_rejected(self):
         with pytest.raises(ValueError):
             vectorize(["a"], NGramVocabulary(()))
-
-    def test_bow_vectorization_matches_vectorize(self):
-        bow = build_bow_vocabulary(CORPUS)
-        comment = ["a", "c", "z"]
-        assert vectorize_bow(comment, bow) == vectorize(comment, bow)
 
 
 class TestValidation:

@@ -35,6 +35,8 @@ def make_recommendation(ready: bool = True, key: str = "HADOOP-6223") -> Recomme
     )
     lifecycle = CommentLifecycle(
         block=block,
+        issue_key=key,
+        tracker=TrackerKind.JIRA,
         introduced_commit="abcdef0123456789",
         introduced_date=datetime(2019, 7, 1, 9, 30, tzinfo=UTC),
     )

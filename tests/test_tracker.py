@@ -20,7 +20,7 @@ from onhold.errors import (
     TrackerError,
     TrackerTemporaryError,
 )
-from onhold.issues import TrackerKind, build_patterns
+from onhold.issues import TrackerKind
 from onhold.javalex import CommentBlock
 from onhold.miner import CommentLifecycle
 from onhold.tracker import (
@@ -29,7 +29,6 @@ from onhold.tracker import (
     IssueRecord,
     Recommendation,
     TrackerConfig,
-    fetch_issue,
     is_ready_to_remove,
     recommend,
 )
@@ -392,12 +391,10 @@ class TestGatewayCaching:
         assert gateway.fetch("HADOOP-6223").raw_status == "Resolved"
         assert transport.calls == 1
 
-    def test_fetch_issue_one_shot(self):
-        rec = fetch_issue("HADOOP-6223", fixture_config())
-        assert rec.key == "HADOOP-6223"
 
-
-def lifecycle(text: str, removed: bool = False) -> CommentLifecycle:
+def lifecycle(
+    text: str, key: str, removed: bool = False, tracker: TrackerKind = JIRA
+) -> CommentLifecycle:
     block = CommentBlock(
         file_path="src/A.java",
         start_line=3,
@@ -413,6 +410,8 @@ def lifecycle(text: str, removed: bool = False) -> CommentLifecycle:
         }
     return CommentLifecycle(
         block=block,
+        issue_key=key,
+        tracker=tracker,
         introduced_commit="abc1234567890",
         introduced_date=datetime(2021, 1, 1, tzinfo=UTC),
         **kwargs,
@@ -420,18 +419,16 @@ def lifecycle(text: str, removed: bool = False) -> CommentLifecycle:
 
 
 class TestRecommend:
-    PATTERNS = build_patterns(TrackerKind.JIRA, "HADOOP")
-
     def records(self):
         return {
-            "HADOOP-1": IssueRecord(JIRA, "HADOOP-1", "Resolved", "Fixed",
-                                    datetime(2021, 3, 1, tzinfo=UTC), NOW),
-            "HADOOP-2": IssueRecord(JIRA, "HADOOP-2", "Open", None, None, NOW),
+            (JIRA, "HADOOP-1"): IssueRecord(JIRA, "HADOOP-1", "Resolved", "Fixed",
+                                            datetime(2021, 3, 1, tzinfo=UTC), NOW),
+            (JIRA, "HADOOP-2"): IssueRecord(JIRA, "HADOOP-2", "Open", None, None, NOW),
         }
 
     def test_ready_comment_gets_a_draft(self):
-        lives = [lifecycle("remove after HADOOP-1 is fixed")]
-        (rec,) = recommend(lives, self.records(), self.PATTERNS)
+        lives = [lifecycle("remove after HADOOP-1 is fixed", "HADOOP-1")]
+        (rec,) = recommend(lives, self.records())
         assert rec.ready is True
         assert "HADOOP-1" in rec.draft_report
         assert "src/A.java" in rec.draft_report
@@ -439,42 +436,36 @@ class TestRecommend:
         assert rec.evidence == "status=Resolved, resolution=Fixed, resolved_on=2021-03-01T00:00:00Z"
 
     def test_pending_comment_keeps_an_empty_draft(self):
-        lives = [lifecycle("waiting for HADOOP-2")]
-        (rec,) = recommend(lives, self.records(), self.PATTERNS)
+        lives = [lifecycle("waiting for HADOOP-2", "HADOOP-2")]
+        (rec,) = recommend(lives, self.records())
         assert rec.ready is False
         assert rec.draft_report == ""
         assert rec.evidence == "status=Open, resolution=none"
 
     def test_removed_comments_are_skipped(self):
-        lives = [lifecycle("remove after HADOOP-1", removed=True)]
-        assert recommend(lives, self.records(), self.PATTERNS) == []
+        lives = [lifecycle("remove after HADOOP-1", "HADOOP-1", removed=True)]
+        assert recommend(lives, self.records()) == []
 
     def test_unfetched_issue_is_skipped(self):
-        lives = [lifecycle("remove after HADOOP-777")]
-        assert recommend(lives, self.records(), self.PATTERNS) == []
-
-    def test_comment_without_reference_is_skipped(self):
-        lives = [lifecycle("no reference at all")]
-        assert recommend(lives, self.records(), self.PATTERNS) == []
-
-    def test_first_reference_decides_the_issue(self):
-        lives = [lifecycle("blocked on HADOOP-2 and HADOOP-1")]
-        (rec,) = recommend(lives, self.records(), self.PATTERNS)
-        assert rec.record.key == "HADOOP-2"
-        assert rec.ready is False
+        lives = [lifecycle("remove after HADOOP-777", "HADOOP-777")]
+        assert recommend(lives, self.records()) == []
 
     def test_github_evidence_omits_the_resolution(self):
-        records = {"9": IssueRecord(GITHUB, "9", "closed", None,
-                                    datetime(2021, 3, 1, tzinfo=UTC), NOW)}
-        patterns = build_patterns(TrackerKind.GITHUB, "apache/dubbo")
-        lives = [lifecycle("closes issue 9")]
-        (rec,) = recommend(lives, records, patterns)
+        records = {(GITHUB, "9"): IssueRecord(GITHUB, "9", "closed", None,
+                                              datetime(2021, 3, 1, tzinfo=UTC), NOW)}
+        lives = [lifecycle("closes issue 9", "9", tracker=GITHUB)]
+        (rec,) = recommend(lives, records)
         assert rec.evidence == "status=closed, resolved_on=2021-03-01T00:00:00Z"
         assert rec.ready is True
 
+    def test_records_are_looked_up_by_tracker_and_key(self):
+        lives = [lifecycle("fixed by bug 9", "9", tracker=BUGZILLA)]
+        records = {(GITHUB, "9"): IssueRecord(GITHUB, "9", "closed", None, None, NOW)}
+        assert recommend(lives, records) == []
+
     def test_recommendation_is_a_frozen_record(self):
-        lives = [lifecycle("remove after HADOOP-1")]
-        (rec,) = recommend(lives, self.records(), self.PATTERNS)
+        lives = [lifecycle("remove after HADOOP-1", "HADOOP-1")]
+        (rec,) = recommend(lives, self.records())
         assert isinstance(rec, Recommendation)
         with pytest.raises(AttributeError):
             rec.ready = False
