@@ -39,7 +39,7 @@ from .issues import (
     dump_pattern_sources,
     find_issue_references,
 )
-from .javalex import CommentBlock
+from .javalex import CommentBlock, as_raw_comment
 from .learn import Label
 from .miner import CommentLifecycle
 from .timestamps import format_timestamp, parse_timestamp
@@ -247,26 +247,12 @@ def _dataset_echo(source: str | Path, labels: Sequence[Label]) -> str:
     )
 
 
-def _tokenize_rows(
-    rows: Sequence[datasetio.DatasetRow],
-    patterns: Patterns,
-    lemma_table: dict[str, str],
-) -> list[list[str]]:
-    return [
-        textprep.preprocess(row.comment_text, patterns, lemma_table) for row in rows
-    ]
-
-
 def _require_column(
     positions: dict[str, int], name: str, source: str
 ) -> int:
     if name not in positions:
         raise DataFormatError(f"{source}: missing required columns: {name}")
     return positions[name]
-
-
-def _as_raw_comment(text: str) -> str:
-    return "\n".join(f"// {line}".rstrip() for line in (text or "").split("\n"))
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +332,9 @@ def _prepare_vectors(
 ) -> tuple[list[list[str]], list[Label]]:
     patterns = _derive_patterns(args, [row.issue_key for row in rows])
     lemma_table = textprep.load_lemma_table(args.lemma_table)
-    tokens = _tokenize_rows(rows, patterns, lemma_table)
+    tokens = [
+        textprep.preprocess(row.comment_text, patterns, lemma_table) for row in rows
+    ]
     labels = [row.label for row in rows]
     return tokens, labels
 
@@ -373,16 +361,14 @@ def _cmd_train(args: argparse.Namespace) -> None:
     dataset = learn.make_dataset(
         vectors, labels, len(vocab), provenance=str(args.dataset)
     )
-    if args.smote:
-        dataset = learn.smote_oversample(dataset, seed=seed)
-    if args.algorithm == "auto":
-        model = learn.select_model(dataset, seed=seed, vocabulary=vocab)
-    else:
-        model = learn.train(dataset, args.algorithm, seed=seed, vocabulary=vocab)
+    model = learn.fit(
+        dataset, args.algorithm, smote=args.smote, seed=seed, vocabulary=vocab
+    )
     learn.save_model(model, args.model)
     ngrams.save_vocabulary(vocab, args.vocab)
     _info(
-        f"trained {model.algorithm} on {len(dataset)} rows; "
+        f"trained {model.algorithm} on {len(dataset)} rows"
+        f"{' (before SMOTE)' if args.smote else ''}; "
         f"model -> {args.model}, vocabulary -> {args.vocab} ({len(vocab)} terms)"
     )
 
@@ -417,15 +403,11 @@ def _cmd_classify(args: argparse.Namespace) -> None:
         )
         for _, fields in numbered
     ]
-    scores = learn.predict_proba_batch(model, vectors) if vectors else []
+    scores = learn.predict_proba_batch(model, vectors)
     out_rows: list[list[str]] = []
     n_on_hold = 0
     for (_, fields), score in zip(numbered, scores):
-        label = (
-            Label.ON_HOLD
-            if score >= model.decision_threshold
-            else Label.CROSS_REFERENCE
-        )
+        label = model.label(score)
         n_on_hold += label is Label.ON_HOLD
         out_rows.append(
             [fields[i] for i in kept] + [label.value, repr(float(score))]
@@ -439,7 +421,7 @@ def _lifecycle_from_fields(
     cell: Callable[[str], str], location: str, issue_key: str, kind: TrackerKind
 ) -> CommentLifecycle:
     text = cell("comment_text")
-    raw = cell("raw_text") or _as_raw_comment(text)
+    raw = cell("raw_text") or as_raw_comment(text)
     try:
         start = int(cell("line_number") or "1")
         end_raw = cell("end_line")
@@ -810,15 +792,10 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ConfigError, DataFormatError, TrainingError, IssueNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        # A missing user-supplied path is an invocation mistake, not an
-        # environment failure.
+    # A missing user-supplied path (FileNotFoundError) is an invocation
+    # mistake, not an environment failure, so it is caught before OSError.
+    except (ConfigError, DataFormatError, TrainingError, IssueNotFoundError,
+            ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TrackerError, OSError) as exc:

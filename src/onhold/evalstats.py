@@ -409,34 +409,34 @@ def resolution_delay_stats(
 # --------------------------------------------------------------------------
 # variant evaluation
 
-VARIANTS = (
-    "ngram-auto",
-    "bow-auto",
-    "ngram-smote-auto",
-    "ngram-nb",
-    "ngram-svm",
-    "ngram-knn",
-)
+# variant -> (features, SMOTE first, algorithm or "auto")
+_VARIANT_PLANS: dict[str, tuple[str, bool, str]] = {
+    "ngram-auto": ("ngram", False, "auto"),
+    "bow-auto": ("bow", False, "auto"),
+    "ngram-smote-auto": ("ngram", True, "auto"),
+    "ngram-nb": ("ngram", False, "NaiveBayes"),
+    "ngram-svm": ("ngram", False, "LinearSVM"),
+    "ngram-knn": ("ngram", False, "KNN"),
+}
+VARIANTS = tuple(_VARIANT_PLANS)
 
 
-def _vectorize_all(
-    comments: Sequence[Sequence[str]], vocab: ngrams.NGramVocabulary
-) -> list[ngrams.FeatureVector]:
-    return [ngrams.vectorize(c, vocab) for c in comments]
+_METRICS = ("precision", "recall", "f1", "auc")
 
 
-def _fit_variant(variant: str, dataset: Dataset, seed: int) -> learn.TrainedModel:
-    if variant in ("ngram-auto", "bow-auto"):
-        return learn.select_model(dataset, seed=seed)
-    if variant == "ngram-smote-auto":
-        return learn.select_model(learn.smote_oversample(dataset, seed=seed), seed=seed)
-    if variant == "ngram-nb":
-        return learn.train(dataset, "NaiveBayes", seed=seed)
-    if variant == "ngram-svm":
-        return learn.train(dataset, "LinearSVM", seed=seed)
-    if variant == "ngram-knn":
-        return learn.train(dataset, "KNN", seed=seed)
-    raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+def score_model(
+    model: learn.TrainedModel,
+    vectors: Sequence[ngrams.FeatureVector],
+    truth: Sequence[Label],
+) -> tuple[float, float, float, float]:
+    """Precision, recall, F1 and AUC on held-out rows.
+
+    A test fold with one class gets the neutral AUC 0.5.
+    """
+    scores = learn.predict_proba_batch(model, vectors)
+    precision, recall, f1 = compute_metrics([model.label(s) for s in scores], truth)
+    auc = compute_auc(list(scores), truth) if len(set(truth)) == 2 else 0.5
+    return precision, recall, f1, auc
 
 
 def evaluate_variants(
@@ -470,16 +470,15 @@ def evaluate_variants(
         whole_vocab = ngrams.extract_terms(all_positive, max_n=max_n, source="global")
 
     collected: dict[str, dict[str, list[float]]] = {
-        v: {"precision": [], "recall": [], "f1": [], "auc": []} for v in variants
+        v: {metric: [] for metric in _METRICS} for v in variants
     }
     for fold_no, fold in enumerate(folds):
         held = set(fold)
         train_idx = [i for i in indices if i not in held]
-        test_idx = list(fold)
         train_comments = [comments[i] for i in train_idx]
         train_labels = [labels[i] for i in train_idx]
-        test_comments = [comments[i] for i in test_idx]
-        test_labels = [labels[i] for i in test_idx]
+        test_comments = [comments[i] for i in fold]
+        test_labels = [labels[i] for i in fold]
 
         positives = [c for c, lab in zip(train_comments, train_labels)
                      if lab is Label.ON_HOLD]
@@ -488,48 +487,33 @@ def evaluate_variants(
         else:
             vocab = ngrams.extract_terms(positives, max_n=max_n,
                                          source=f"fold-{fold_no}")
-        bow_vocab = None
-        if "bow-auto" in variants:
-            bow_vocab = ngrams.build_bow_vocabulary(train_comments,
-                                                    source=f"fold-{fold_no}-bow")
-
+        # Each feature space is vectorized once per fold and shared by
+        # every variant that trains on it.
+        prepared: dict[str, tuple[Dataset, list[ngrams.FeatureVector]]] = {}
         for variant in variants:
-            current = bow_vocab if variant == "bow-auto" else vocab
-            if len(current) == 0:
-                raise ValueError(
-                    f"fold {fold_no}: empty vocabulary; corpus too small for {variant}"
+            features, smote, algorithm = _VARIANT_PLANS[variant]
+            if features not in prepared:
+                current = vocab if features == "ngram" else ngrams.build_bow_vocabulary(
+                    train_comments, source=f"fold-{fold_no}-bow"
                 )
-            train_ds = learn.make_dataset(
-                _vectorize_all(train_comments, current), train_labels,
-                len(current), provenance=f"fold-{fold_no}-train",
-            )
-            model = _fit_variant(variant, train_ds, seed)
-            test_vectors = _vectorize_all(test_comments, current)
-            scores = learn.predict_proba_batch(model, test_vectors)
-            predicted = [
-                Label.ON_HOLD if s >= model.decision_threshold
-                else Label.CROSS_REFERENCE
-                for s in scores
-            ]
-            precision, recall, f1 = compute_metrics(predicted, test_labels)
-            if len(set(test_labels)) == 2:
-                auc = compute_auc(list(scores), test_labels)
-            else:
-                auc = 0.5
-            bucket = collected[variant]
-            bucket["precision"].append(precision)
-            bucket["recall"].append(recall)
-            bucket["f1"].append(f1)
-            bucket["auc"].append(auc)
+                if len(current) == 0:
+                    raise ValueError(
+                        f"fold {fold_no}: empty vocabulary; corpus too small for {variant}"
+                    )
+                train_ds = learn.make_dataset(
+                    [ngrams.vectorize(c, current) for c in train_comments], train_labels,
+                    len(current), provenance=f"fold-{fold_no}-train",
+                )
+                test_vectors = [ngrams.vectorize(c, current) for c in test_comments]
+                prepared[features] = (train_ds, test_vectors)
+            train_ds, test_vectors = prepared[features]
+            model = learn.fit(train_ds, algorithm, smote=smote, seed=seed)
+            scores = score_model(model, test_vectors, test_labels)
+            for metric, value in zip(_METRICS, scores):
+                collected[variant][metric].append(value)
 
     return {
-        variant: FoldScores(
-            variant=variant,
-            precision=tuple(values["precision"]),
-            recall=tuple(values["recall"]),
-            f1=tuple(values["f1"]),
-            auc=tuple(values["auc"]),
-        )
+        variant: FoldScores(variant, *(tuple(values[metric]) for metric in _METRICS))
         for variant, values in collected.items()
     }
 
@@ -537,7 +521,7 @@ def evaluate_variants(
 def compare_folds(
     a: FoldScores,
     b: FoldScores,
-    metrics: Sequence[str] = ("precision", "recall", "f1", "auc"),
+    metrics: Sequence[str] = _METRICS,
     config: StatsConfig = StatsConfig(),
 ) -> list[ComparisonResult]:
     """Unpaired Mann-Whitney per metric with Holm correction across them."""

@@ -33,6 +33,11 @@ class CommentBlock:
             raise ValueError("raw_text must begin with a comment delimiter")
 
 
+def as_raw_comment(text: str) -> str:
+    """Rebuild a syntactically valid line comment from delimiter-stripped text."""
+    return "\n".join(f"// {line}".rstrip() for line in (text or "").split("\n"))
+
+
 @dataclass
 class _Segment:
     start: int          # offset of the opening delimiter

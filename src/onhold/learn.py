@@ -9,7 +9,9 @@ k-nearest-neighbours under Jaccard distance on feature index sets.
 Every random choice (bootstrap draws, feature subsets, SGD order) is
 made after the training rows have been put into a canonical order keyed
 to a content hash of each row, so permuting the input row order cannot
-change a fitted model or its predictions.
+change a fitted model or its predictions.  Each ``Dataset`` computes
+that order, and its dense 0/1 matrix in that order, once when it is
+built; every fit on it reads the same arrays.
 
 On 0/1 features the ExtraTrees "uniformly random threshold between
 observed feature values" degenerates to the midpoint 0.5, which makes
@@ -28,7 +30,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, DataFormatError, TrainingError
 from .ngrams import FeatureVector, NGramVocabulary, format_vocabulary
 
 
@@ -71,39 +73,44 @@ DEFAULT_GRID: tuple[tuple[str, dict[str, Any]], ...] = (
 )
 
 
+def _dense(index_lists: Sequence[Sequence[int]], n_features: int) -> np.ndarray:
+    """0/1 matrix with one row per list of feature indices."""
+    x = np.zeros((len(index_lists), n_features), dtype=np.uint8)
+    for i, indices in enumerate(index_lists):
+        if indices and not 0 <= min(indices) <= max(indices) < n_features:
+            raise ValueError(f"feature indices {list(indices)} outside 0..{n_features - 1}")
+        x[i, list(indices)] = 1
+    return x
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Feature vectors with labels in a fixed feature space."""
+    """Feature vectors with labels in a fixed feature space.
+
+    ``x`` (dense 0/1 features) and ``y`` (1 = OnHold) hold the rows in
+    canonical order; they are computed once and are read-only.
+    """
 
     rows: tuple[tuple[FeatureVector, Label], ...]
     n_features: int
     provenance: str = ""
+    x: np.ndarray = field(init=False, repr=False, compare=False)
+    y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for vector, _ in self.rows:
-            if vector.indices and vector.indices[-1] >= self.n_features:
-                raise ValueError(
-                    f"feature index {vector.indices[-1]} outside 0..{self.n_features - 1}"
-                )
+        order = sorted(range(len(self.rows)), key=lambda i: _row_digest(*self.rows[i]))
+        x = _dense([self.rows[i][0].indices for i in order], self.n_features)
+        y = np.array([self.rows[i][1] is Label.ON_HOLD for i in order], dtype=np.uint8)
+        x.flags.writeable = y.flags.writeable = False
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def class_counts(self) -> dict[Label, int]:
-        counts = {Label.ON_HOLD: 0, Label.CROSS_REFERENCE: 0}
-        for _, label in self.rows:
-            counts[label] += 1
-        return counts
-
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense 0/1 matrix and label vector (1 = OnHold), in row order."""
-        x = np.zeros((len(self.rows), self.n_features), dtype=np.uint8)
-        y = np.zeros(len(self.rows), dtype=np.uint8)
-        for i, (vector, label) in enumerate(self.rows):
-            if vector.indices:
-                x[i, list(vector.indices)] = 1
-            y[i] = 1 if label is Label.ON_HOLD else 0
-        return x, y
+        on_hold = int(self.y.sum())
+        return {Label.ON_HOLD: on_hold, Label.CROSS_REFERENCE: len(self.rows) - on_hold}
 
 
 def make_dataset(
@@ -122,10 +129,6 @@ def _row_digest(vector: FeatureVector, label: Label) -> bytes:
     h.update(",".join(map(str, vector.indices)).encode("ascii"))
     h.update(b"|1" if label is Label.ON_HOLD else b"|0")
     return h.digest()
-
-
-def _canonical_order(rows: Sequence[tuple[FeatureVector, Label]]) -> list[int]:
-    return sorted(range(len(rows)), key=lambda i: _row_digest(*rows[i]))
 
 
 def vocabulary_digest(vocab: NGramVocabulary) -> str:
@@ -312,9 +315,9 @@ class _FittedNaiveBayes:
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> "_FittedNaiveBayes":
         return cls(
-            np.array(state["log_prior"]),
-            np.array(state["log_p1"]),
-            np.array(state["log_p0"]),
+            np.array(state["log_prior"], dtype=np.float64),
+            np.array(state["log_p1"], dtype=np.float64),
+            np.array(state["log_p0"], dtype=np.float64),
         )
 
 
@@ -349,7 +352,7 @@ class _FittedLinearSVM:
 
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> "_FittedLinearSVM":
-        return cls(np.array(state["weights"]))
+        return cls(np.array(state["weights"], dtype=np.float64))
 
 
 def _fit_linear_svm(
@@ -405,10 +408,7 @@ class _FittedKNN:
 
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> "_FittedKNN":
-        x = np.zeros((len(state["rows"]), state["n_features"]), dtype=np.uint8)
-        for i, indices in enumerate(state["rows"]):
-            if indices:
-                x[i, indices] = 1
+        x = _dense(state["rows"], int(state["n_features"]))
         return cls(x, np.array(state["labels"], dtype=np.uint8), int(state["k"]))
 
 
@@ -424,6 +424,10 @@ class TrainedModel:
     seed: int
     vocabulary_hash: str | None
     _impl: Any = field(repr=False)
+
+    def label(self, score: float) -> Label:
+        """OnHold iff the score reaches the threshold; ties classify positive."""
+        return Label.ON_HOLD if score >= self.decision_threshold else Label.CROSS_REFERENCE
 
 
 def _validate_hyperparameters(algorithm: str, hp: dict[str, Any]) -> None:
@@ -470,10 +474,7 @@ def train(
     hp.update(hyperparameters or {})
     _validate_hyperparameters(algorithm, hp)
 
-    order = _canonical_order(dataset.rows)
-    x_raw, y_raw = dataset.to_arrays()
-    x, y = x_raw[order], y_raw[order]
-
+    x, y = dataset.x, dataset.y
     if algorithm == "ExtraTrees":
         impl: Any = _fit_forest(x, y, hp, seed, bootstrap=False)
     elif algorithm == "RandomForest":
@@ -500,23 +501,12 @@ def train(
     )
 
 
-def _to_dense(model: TrainedModel, vectors: Sequence[FeatureVector]) -> np.ndarray:
-    x = np.zeros((len(vectors), model.n_features), dtype=np.uint8)
-    for i, vector in enumerate(vectors):
-        if vector.indices:
-            if vector.indices[-1] >= model.n_features:
-                raise ValueError(
-                    f"feature index {vector.indices[-1]} outside the model's "
-                    f"{model.n_features}-feature space"
-                )
-            x[i, list(vector.indices)] = 1
-    return x
-
-
 def predict_proba_batch(model: TrainedModel, vectors: Sequence[FeatureVector]) -> np.ndarray:
     if not vectors:
         return np.zeros(0)
-    return model._impl.predict_proba(_to_dense(model, vectors))
+    return model._impl.predict_proba(
+        _dense([vector.indices for vector in vectors], model.n_features)
+    )
 
 
 def predict_proba(model: TrainedModel, vector: FeatureVector) -> float:
@@ -525,9 +515,7 @@ def predict_proba(model: TrainedModel, vector: FeatureVector) -> float:
 
 
 def classify(model: TrainedModel, vector: FeatureVector) -> Label:
-    """OnHold iff the score reaches the threshold; ties classify positive."""
-    score = predict_proba(model, vector)
-    return Label.ON_HOLD if score >= model.decision_threshold else Label.CROSS_REFERENCE
+    return model.label(predict_proba(model, vector))
 
 
 def smote_oversample(dataset: Dataset, k: int = 5, seed: int = 0) -> Dataset:
@@ -548,17 +536,14 @@ def smote_oversample(dataset: Dataset, k: int = 5, seed: int = 0) -> Dataset:
     if need == 0:
         return dataset
 
-    minority_rows = [row for row in dataset.rows if row[1] is minority]
-    order = _canonical_order(minority_rows)
-    dense = np.zeros((len(minority_rows), dataset.n_features), dtype=np.float64)
-    for i, position in enumerate(order):
-        vector = minority_rows[position][0]
-        if vector.indices:
-            dense[i, list(vector.indices)] = 1.0
-
-    m = len(minority_rows)
-    diff = dense[:, None, :] != dense[None, :, :]
-    hamming = diff.sum(axis=2)
+    # Minority rows in canonical order, so the input row order cannot
+    # change the synthetic rows.
+    dense = dataset.x[dataset.y == (1 if minority is Label.ON_HOLD else 0)].astype(np.float64)
+    m = dense.shape[0]
+    # Hamming distance of 0/1 rows is |a| + |b| - 2 a.b; the float64
+    # products are exact integers.
+    sizes = dense.sum(axis=1)
+    hamming = (sizes[:, None] + sizes[None, :] - 2.0 * (dense @ dense.T)).astype(np.int64)
     np.fill_diagonal(hamming, np.iinfo(np.int64).max)
     k_eff = min(k, m - 1)
     neighbour_table = np.argsort(hamming, axis=1, kind="stable")[:, :k_eff]
@@ -603,14 +588,13 @@ def select_model(
     for fold in folds:
         held = set(fold)
         train_rows = tuple(train_fold.rows[i] for i in indices if i not in held)
-        test_rows = tuple(train_fold.rows[i] for i in fold)
+        test_rows = [train_fold.rows[i] for i in fold]
         if not test_rows:
             continue
         inner = Dataset(train_rows, train_fold.n_features, "inner-train")
-        inner_counts = inner.class_counts()
-        if min(inner_counts.values()) == 0:
+        if min(inner.class_counts().values()) == 0:
             continue
-        splits.append((inner, test_rows))
+        splits.append((inner, [v for v, _ in test_rows], [label for _, label in test_rows]))
 
     best: tuple[float, float] | None = None
     best_candidate = grid[0]
@@ -618,21 +602,11 @@ def select_model(
         for candidate in grid:
             algorithm, hp = candidate
             f1_scores, auc_scores = [], []
-            for inner, test_rows in splits:
+            for inner, vectors, truth in splits:
                 model = train(inner, algorithm, hp, seed=seed)
-                vectors = [vector for vector, _ in test_rows]
-                truth = [label for _, label in test_rows]
-                scores = predict_proba_batch(model, vectors)
-                predicted = [
-                    Label.ON_HOLD if s >= model.decision_threshold else Label.CROSS_REFERENCE
-                    for s in scores
-                ]
-                _, _, f1 = evalstats.compute_metrics(predicted, truth)
+                _, _, f1, auc = evalstats.score_model(model, vectors, truth)
                 f1_scores.append(f1)
-                if len(set(truth)) == 2:
-                    auc_scores.append(evalstats.compute_auc(list(scores), truth))
-                else:
-                    auc_scores.append(0.5)
+                auc_scores.append(auc)
             key = (sum(f1_scores) / len(f1_scores), sum(auc_scores) / len(auc_scores))
             if best is None or key > best:
                 best = key
@@ -641,10 +615,68 @@ def select_model(
                  vocabulary=vocabulary)
 
 
+def fit(
+    dataset: Dataset,
+    algorithm: str,
+    smote: bool = False,
+    seed: int = 0,
+    vocabulary: NGramVocabulary | str | None = None,
+) -> TrainedModel:
+    """Train one algorithm, or select one by inner CV for "auto"; SMOTE first if asked."""
+    if smote:
+        dataset = smote_oversample(dataset, seed=seed)
+    if algorithm == "auto":
+        return select_model(dataset, seed=seed, vocabulary=vocabulary)
+    return train(dataset, algorithm, seed=seed, vocabulary=vocabulary)
+
+
 # --------------------------------------------------------------------------
 # model persistence
 
 _MODEL_FORMAT = "onhold-model"
+_FITTED: dict[str, Any] = {
+    "ExtraTrees": _FittedForest,
+    "RandomForest": _FittedForest,
+    "NaiveBayes": _FittedNaiveBayes,
+    "LinearSVM": _FittedLinearSVM,
+    "KNN": _FittedKNN,
+}
+
+
+def _check_state(algorithm: str, state: dict[str, Any], n_features: int) -> None:
+    """Raise ValueError unless a saved state fits a model of n_features."""
+    if algorithm == "NaiveBayes":
+        shapes = {"log_prior": (2,), "log_p1": (2, n_features), "log_p0": (2, n_features)}
+        fits = all(np.shape(state[key]) == shape for key, shape in shapes.items())
+    elif algorithm == "LinearSVM":
+        fits = np.shape(state["weights"]) == (n_features + 1,)
+    elif algorithm == "KNN":
+        rows, labels = state["rows"], state["labels"]
+        fits = (
+            all(type(i) is int for row in rows for i in row)
+            and len(labels) == len(rows)
+            and set(labels) <= {0, 1}
+            and int(state["k"]) >= 1
+            and int(state["n_features"]) == n_features
+        )
+    else:
+        fits = bool(state["trees"]) and all(_tree_fits(t, n_features) for t in state["trees"])
+    if not fits:
+        raise ValueError(f"state does not fit a {n_features}-feature {algorithm} model")
+
+
+def _tree_fits(tree: dict[str, Any], n_features: int) -> bool:
+    """Leaves have no children; a split's children come after it, so no path loops."""
+    columns = [tree[key] for key in ("feature", "left", "right", "value")]
+    size = len(columns[0])
+    if size == 0 or any(len(column) != size for column in columns):
+        return False
+    for node, (f, lo, hi) in enumerate(zip(*columns[:3])):
+        leaf = f == lo == hi == _LEAF
+        split = 0 <= f < n_features and node < lo < size and node < hi < size
+        if not (all(type(v) is int for v in (f, lo, hi)) and (leaf or split)):
+            return False
+    return True
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -663,26 +695,31 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != _MODEL_FORMAT:
+    """Read a model file; DataFormatError names the file when it is malformed."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataFormatError(f"{path}: not a JSON model file: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
         raise ConfigError(f"{path}: not a model file")
-    algorithm = payload["algorithm"]
-    if algorithm in ("ExtraTrees", "RandomForest"):
-        impl: Any = _FittedForest.from_state(payload["state"])
-    elif algorithm == "NaiveBayes":
-        impl = _FittedNaiveBayes.from_state(payload["state"])
-    elif algorithm == "LinearSVM":
-        impl = _FittedLinearSVM.from_state(payload["state"])
-    elif algorithm == "KNN":
-        impl = _FittedKNN.from_state(payload["state"])
-    else:
+    if payload.get("version") != 1:
+        raise DataFormatError(f"{path}: unsupported model version {payload.get('version')!r}")
+    algorithm = payload.get("algorithm")
+    if algorithm not in ALGORITHMS:
         raise ConfigError(f"{path}: unknown algorithm {algorithm!r}")
-    return TrainedModel(
-        algorithm=algorithm,
-        hyperparameters=payload["hyperparameters"],
-        n_features=int(payload["n_features"]),
-        decision_threshold=float(payload["decision_threshold"]),
-        seed=int(payload["seed"]),
-        vocabulary_hash=payload.get("vocabulary_hash"),
-        _impl=impl,
-    )
+    try:
+        n_features = int(payload["n_features"])
+        _check_state(algorithm, payload["state"], n_features)
+        return TrainedModel(
+            algorithm=algorithm,
+            hyperparameters=payload["hyperparameters"],
+            n_features=n_features,
+            decision_threshold=float(payload["decision_threshold"]),
+            seed=int(payload["seed"]),
+            vocabulary_hash=payload.get("vocabulary_hash"),
+            _impl=_FITTED[algorithm].from_state(payload["state"]),
+        )
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: model file lacks {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"{path}: malformed model file: {exc}") from exc

@@ -16,7 +16,7 @@ from typing import Any, Sequence
 
 from .errors import DataFormatError
 from .issues import TrackerKind
-from .javalex import CommentBlock
+from .javalex import CommentBlock, as_raw_comment
 from .miner import CommentLifecycle
 from .timestamps import format_timestamp, parse_timestamp
 from .tracker import IssueRecord, Recommendation
@@ -94,12 +94,6 @@ def report_payload(recommendations: Sequence[Recommendation]) -> dict[str, Any]:
     }
 
 
-def _comment_as_raw(comment_text: str) -> str:
-    """Rebuild a syntactically valid comment from stored text."""
-    body = comment_text if comment_text else ""
-    return "\n".join(f"// {line}".rstrip() for line in body.split("\n"))
-
-
 def recommendations_from_payload(payload: dict[str, Any]) -> list[Recommendation]:
     """Rebuild recommendation objects from a parsed JSON report."""
     version = payload.get("schema_version")
@@ -118,7 +112,7 @@ def recommendations_from_payload(payload: dict[str, Any]) -> list[Recommendation
                 file_path=finding["file_path"],
                 start_line=int(finding["start_line"]),
                 end_line=int(finding["end_line"]),
-                raw_text=_comment_as_raw(finding["comment_text"]),
+                raw_text=as_raw_comment(finding["comment_text"]),
                 normalized_text=finding["comment_text"],
             )
             kind = TrackerKind(finding["tracker"])

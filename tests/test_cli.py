@@ -268,6 +268,33 @@ class TestPipeline:
         assert code == 1
         assert "vocabulary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda payload: payload.pop("state"),
+            lambda payload: payload.update(state={}),
+            lambda payload: payload["state"].update(log_p1=[[0.0], [0.0]]),
+            lambda payload: payload.update(version=2),
+        ],
+        ids=["no-state", "empty-state", "wrong-shape", "version"],
+    )
+    def test_malformed_model_file_is_a_user_error(
+        self, dataset_path, tmp_path, capsys, corrupt
+    ):
+        model, vocab = self.train(dataset_path, tmp_path)
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        corrupt(payload)
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = cli_main(
+            ["classify", "--model", str(model), "--vocab", str(vocab),
+             "--input", str(dataset_path), "--out", str(tmp_path / "p.tsv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}")
+        assert "Traceback" not in err
+
     def check_input(self, tmp_path) -> Path:
         table = datasetio.format_table(
             ("comment_text", "file_path", "line_number", "issue_key", "label",

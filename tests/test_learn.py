@@ -7,9 +7,12 @@ four corners right while a depth-2 tree does.
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
-from onhold.errors import ConfigError, TrainingError
+from onhold.errors import ConfigError, DataFormatError, TrainingError
 from onhold.learn import (
     ALGORITHMS,
     Dataset,
@@ -25,6 +28,7 @@ from onhold.learn import (
     train,
     vocabulary_digest,
 )
+from onhold.learn import _row_digest
 from onhold.ngrams import FeatureVector, extract_terms
 
 
@@ -85,9 +89,11 @@ class TestDataset:
 
     def test_to_arrays_layout(self):
         ds = dataset_from([((0, 2), ON), ((), CROSS)], n_features=3)
-        x, y = ds.to_arrays()
-        assert x.tolist() == [[1, 0, 1], [0, 0, 0]]
-        assert y.tolist() == [1, 0]
+        rows = {(1, 0, 1, 1), (0, 0, 0, 0)}
+        assert {(*r, label) for r, label in zip(ds.x.tolist(), ds.y.tolist())} == rows
+        reversed_ds = Dataset(tuple(reversed(ds.rows)), ds.n_features)
+        assert reversed_ds.x.tolist() == ds.x.tolist()
+        assert reversed_ds.y.tolist() == ds.y.tolist()
 
 
 class TestNaiveBayesOracle:
@@ -212,6 +218,34 @@ class TestPersistence:
         with pytest.raises(ConfigError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "algorithm,corrupt",
+        [
+            # A child pointing back at its parent would loop forever.
+            ("ExtraTrees", lambda state: state["trees"][0]["left"].__setitem__(0, 0)),
+            ("RandomForest", lambda state: state["trees"][0]["feature"].__setitem__(0, 9)),
+            ("NaiveBayes", lambda state: state.pop("log_prior")),
+            ("LinearSVM", lambda state: state.update(weights=[])),
+            ("KNN", lambda state: state["rows"].__setitem__(0, [7])),
+            ("KNN", lambda state: state.update(labels=[2] * len(state["labels"]))),
+        ],
+        ids=["child-loop", "feature-range", "missing-key", "shape", "index-range", "label"],
+    )
+    def test_malformed_state_is_a_data_format_error(self, algorithm, corrupt, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(train(XOR, algorithm), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(payload["state"])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=str(path)):
+            load_model(path)
+
+    def test_file_that_is_not_json_is_a_data_format_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff not json")
+        with pytest.raises(DataFormatError, match=str(path)):
+            load_model(path)
+
     def test_vocabulary_hash_round_trips(self, tmp_path):
         vocab = extract_terms([["a", "b"], ["a", "b"]])
         model = train(SEPARABLE, "NaiveBayes", vocabulary=vocab)
@@ -219,6 +253,28 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         assert load_model(path).vocabulary_hash == vocabulary_digest(vocab)
+
+
+def reference_smote_rows(dataset, k, seed):
+    """SMOTE's synthetic rows with Hamming distances from the m x m x F tensor."""
+    minority = sorted(
+        (row for row in dataset.rows if row[1] is ON), key=lambda row: _row_digest(*row)
+    )
+    need = len(dataset.rows) - 2 * len(minority)
+    dense = np.zeros((len(minority), dataset.n_features))
+    for i, (vector, _) in enumerate(minority):
+        dense[i, list(vector.indices)] = 1.0
+    hamming = (dense[:, None, :] != dense[None, :, :]).sum(axis=2)
+    np.fill_diagonal(hamming, np.iinfo(np.int64).max)
+    table = np.argsort(hamming, axis=1, kind="stable")[:, :k]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rows = []
+    for _ in range(need):
+        parent = int(rng.integers(len(minority)))
+        neighbour = int(table[parent][int(rng.integers(k))])
+        point = dense[parent] + rng.random() * (dense[neighbour] - dense[parent])
+        rows.append((fv(*map(int, np.flatnonzero(point >= 0.5))), ON))
+    return tuple(rows)
 
 
 class TestSmote:
@@ -274,6 +330,17 @@ class TestSmote:
         a_synth = sorted(v.indices for v, _ in a.rows[len(rows):])
         b_synth = sorted(v.indices for v, _ in b.rows[len(rows):])
         assert a_synth == b_synth
+
+    def test_matches_the_difference_tensor_reference(self):
+        rng = np.random.default_rng(0)
+        pairs = [
+            (tuple(np.flatnonzero(rng.random(12) < 0.3)), ON if i < 9 else CROSS)
+            for i in range(40)
+        ]
+        # Repeated minority rows make distance ties for the stable sort.
+        ds = dataset_from(pairs + pairs[:3], n_features=12)
+        balanced = smote_oversample(ds, k=3, seed=2)
+        assert balanced.rows[len(ds):] == reference_smote_rows(ds, k=3, seed=2)
 
     def test_provenance_is_tagged(self):
         assert smote_oversample(self.IMBALANCED).provenance.endswith("smote")
