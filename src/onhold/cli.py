@@ -576,51 +576,32 @@ def _cmd_lifecycle(args: argparse.Namespace) -> None:
         removals.append((row.removed_date, resolved))
     delays = evalstats.resolution_delay_stats(removals)
 
-    out_rows: list[list[str]] = []
-    for label in (Label.ON_HOLD, Label.CROSS_REFERENCE):
-        summary = spans.get(label)
-        if summary is None:
-            continue
-        group = label.value
-        out_rows.append(["lifespan", group, "count", str(summary.count)])
-        out_rows.append(["lifespan", group, "median_days", repr(summary.median)])
-        out_rows.append(["lifespan", group, "mean_days", repr(summary.mean)])
-        for percentile, value in summary.percentiles:
-            out_rows.append(["lifespan", group, f"p{percentile}", repr(value)])
-    group = Label.ON_HOLD.value
-    out_rows.append(
-        ["resolution_delay", group, "removed_after_fix", str(delays.removed_after)]
-    )
-    out_rows.append(
-        ["resolution_delay", group, "removed_before_fix", str(delays.removed_before)]
-    )
-    out_rows.append(
-        ["resolution_delay", group, "open_or_wontfix", str(delays.open_or_wontfix)]
-    )
-    out_rows.append(
-        [
-            "resolution_delay",
-            group,
-            "same_day_fraction",
-            repr(delays.same_day_fraction),
-        ]
-    )
-    out_rows.append(
-        [
-            "resolution_delay",
-            group,
-            "over_one_year_fraction",
-            repr(delays.over_one_year_fraction),
-        ]
-    )
-    out_rows.append(
-        [
-            "resolution_delay",
-            group,
-            "median_delay_days",
-            repr(delays.median_delay) if delays.median_delay is not None else "",
-        ]
-    )
+    table: list[tuple[str, str, str, int | float | None]] = [
+        ("lifespan", label.value, metric, value)
+        for label in (Label.ON_HOLD, Label.CROSS_REFERENCE)
+        if (summary := spans.get(label)) is not None
+        for metric, value in (
+            ("count", summary.count),
+            ("median_days", summary.median),
+            ("mean_days", summary.mean),
+            *((f"p{percentile}", q) for percentile, q in summary.percentiles),
+        )
+    ]
+    table += [
+        ("resolution_delay", Label.ON_HOLD.value, metric, value)
+        for metric, value in (
+            ("removed_after_fix", delays.removed_after),
+            ("removed_before_fix", delays.removed_before),
+            ("open_or_wontfix", delays.open_or_wontfix),
+            ("same_day_fraction", delays.same_day_fraction),
+            ("over_one_year_fraction", delays.over_one_year_fraction),
+            ("median_delay_days", delays.median_delay),
+        )
+    ]
+    out_rows = [
+        [section, group, metric, "" if value is None else repr(value)]
+        for section, group, metric, value in table
+    ]
     _emit(
         datasetio.format_table(("section", "group", "metric", "value"), out_rows),
         args.out,

@@ -10,6 +10,7 @@ exactly as long as the input timestamps carry no sub-second part.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -27,7 +28,6 @@ __all__ = [
     "unescape_field",
     "format_table",
     "parse_table",
-    "save_table",
     "load_table",
     "column_positions",
     "format_dataset",
@@ -142,22 +142,14 @@ def escape_field(value: str) -> str:
 
 
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE = re.compile(r"\\([\\tnr])")
 
 
 def unescape_field(value: str) -> str:
-    if "\\" not in value:
+    """Undo ``escape_field``; a backslash before any other character stays."""
+    if "\\" not in value:  # most cells; re.sub on every cell costs 5x
         return value
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value) and value[i + 1] in _UNESCAPES:
-            out.append(_UNESCAPES[value[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPE.sub(lambda escape: _UNESCAPES[escape[1]], value)
 
 
 def format_table(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -198,13 +190,6 @@ def parse_table(
             )
         rows.append((lineno, fields))
     return header, rows
-
-
-def save_table(
-    path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[str]]
-) -> None:
-    with io.open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_table(columns, rows))
 
 
 def load_table(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:

@@ -1,13 +1,14 @@
 """Comment extraction from Java source text.
 
-A small hand-rolled lexer walks the source once, tracking string and char
-literals so that comment delimiters inside them are ignored.  Comment
-regions separated only by whitespace are merged into a single block.
+One compiled token grammar finds comments and the string, text-block and
+char literals whose contents must not count as comments.  Comment tokens
+separated only by whitespace are merged into a single block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -38,113 +39,64 @@ def as_raw_comment(text: str) -> str:
     return "\n".join(f"// {line}".rstrip() for line in (text or "").split("\n"))
 
 
-@dataclass
-class _Segment:
-    start: int          # offset of the opening delimiter
-    end: int            # offset one past the last character
-    start_line: int
-    end_line: int
-    text: str           # inner text, delimiters stripped
-    unterminated: bool = field(default=False)
-
-
-def _scan_segments(source: str) -> list[_Segment]:
-    """Single pass over the source collecting raw comment segments."""
-    segments: list[_Segment] = []
-    i = 0
-    line = 1
-    n = len(source)
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            i += 1
-        elif c == "/" and i + 1 < n and source[i + 1] == "/":
-            start, start_line = i, line
-            i += 2
-            while i < n and source[i] != "\n":
-                i += 1
-            segments.append(_Segment(start, i, start_line, line,
-                                     source[start + 2:i].strip()))
-        elif c == "/" and i + 1 < n and source[i + 1] == "*":
-            start, start_line = i, line
-            i += 2
-            closed = False
-            while i < n:
-                if source[i] == "\n":
-                    line += 1
-                elif source[i] == "*" and i + 1 < n and source[i + 1] == "/":
-                    i += 2
-                    closed = True
-                    break
-                i += 1
-            inner_end = i - 2 if closed else i
-            segments.append(_Segment(start, i, start_line, line,
-                                     source[start + 2:inner_end].strip(),
-                                     unterminated=not closed))
-        elif c == '"':
-            # String literal: skip to the closing quote, honouring backslash
-            # escapes.  A raw newline terminates it (invalid Java; keeps a
-            # stray quote from swallowing the rest of the file).
-            i += 1
-            while i < n and source[i] not in ('"', "\n"):
-                i += 2 if source[i] == "\\" else 1
-            if i < n and source[i] == '"':
-                i += 1
-        elif c == "'":
-            end = _char_literal_end(source, i)
-            if end is None:
-                i += 1  # stray apostrophe, treat as punctuation
-            else:
-                i = end
-        else:
-            i += 1
-    return segments
-
-
-def _char_literal_end(source: str, i: int) -> int | None:
-    """Offset one past a char literal starting at ``i``, or None."""
-    j = i + 1
-    n = len(source)
-    while j < n and source[j] not in ("'", "\n"):
-        j += 2 if source[j] == "\\" else 1
-    if j < n and source[j] == "'" and j > i + 1:
-        return j + 1
-    return None
+# Group 1 is a line comment's text, group 2 a block comment's text and
+# group 3 its closing delimiter ("" when the block runs to end of file);
+# literals capture nothing.  A backslash escapes the next character, a
+# raw newline ends an ordinary string or char literal (invalid Java; it
+# keeps a stray quote from swallowing the rest of the file), and a char
+# literal needs at least one character, so a lone apostrophe is skipped.
+# A text block opens with `"""` and a line break and runs to the next
+# unescaped `"""`, or to end of file when none follows, like an
+# unterminated block comment (so no opening is scanned twice and lexing
+# stays linear); without the line break, `"""` lexes as an empty string
+# followed by an ordinary string.
+_TOKEN = re.compile(
+    r"//([^\n]*)"
+    r"|/\*(.*?)(\*/|\Z)"
+    r'|"""[ \t\f]*\r?\n(?:\\.|[^\\])*?(?:"""|\\?\Z)'
+    r'|"(?:\\.|[^"\\\n])*"?'
+    r"|'(?:\\.|[^'\\\n])+'",
+    re.DOTALL,
+)
 
 
 def extract_comments(source: str, file_path: str = "") -> list[CommentBlock]:
     """Extract all line and block comments from Java source text.
 
-    Comment-like sequences inside string and char literals are excluded.
-    Segments separated only by whitespace (including newlines) are merged
-    into one block.  An unterminated block comment extends to end of file
-    and carries ``unterminated=True``.  Blocks come back in file order.
+    Comment-like sequences inside string, text-block and char literals are
+    excluded.  Segments separated only by whitespace (including newlines)
+    are merged into one block.  An unterminated block comment extends to
+    end of file and carries ``unterminated=True``.  Blocks come back in
+    file order.
     """
-    segments = _scan_segments(source)
-    blocks: list[CommentBlock] = []
-    group: list[_Segment] = []
+    runs: list[list[re.Match[str]]] = []
+    for token in _TOKEN.finditer(source):
+        if token.lastindex is None:
+            continue  # a literal
+        if runs and not source[runs[-1][-1].end():token.start()].strip():
+            runs[-1].append(token)
+        else:
+            runs.append([token])
 
-    def flush() -> None:
-        if not group:
-            return
-        first, last = group[0], group[-1]
+    blocks: list[CommentBlock] = []
+    line, offset = 1, 0
+    for run in runs:
+        start, end = run[0].start(), run[-1].end()
+        line += source.count("\n", offset, start)
+        raw = source[start:end]
         blocks.append(CommentBlock(
             file_path=file_path,
-            start_line=first.start_line,
-            end_line=last.end_line,
-            raw_text=source[first.start:last.end],
-            normalized_text="\n".join(s.text for s in group),
-            unterminated=any(s.unterminated for s in group),
+            start_line=line,
+            end_line=line + raw.count("\n"),
+            raw_text=raw,
+            normalized_text="\n".join(
+                (token[1] if token[2] is None else token[2]).strip()
+                for token in run
+            ),
+            # Only a run's last token can be unterminated: it reaches EOF.
+            unterminated=run[-1][3] == "",
         ))
-        group.clear()
-
-    for seg in segments:
-        if group and source[group[-1].end:seg.start].strip() != "":
-            flush()
-        group.append(seg)
-    flush()
+        offset = start
     return blocks
 
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from .errors import DataFormatError
+
 TokenTuple = tuple[str, ...]
 
 MAX_NGRAM_LEN = 10
@@ -204,6 +206,8 @@ def format_vocabulary(vocab: NGramVocabulary) -> str:
 
 
 def parse_vocabulary(text: str, source: str = "") -> NGramVocabulary:
+    """Parse vocabulary TSV text; errors name ``source`` and the line."""
+    label = source or "<vocabulary>"
     terms = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -212,8 +216,11 @@ def parse_vocabulary(text: str, source: str = "") -> NGramVocabulary:
             term_text, df, weight = line.split("\t")
             terms.append(NGramTerm(tuple(term_text.split(" ")), int(df), float(weight)))
         except ValueError as exc:
-            raise ValueError(f"vocabulary line {lineno}: {exc}") from exc
-    return NGramVocabulary(tuple(terms), source)
+            raise DataFormatError(f"{label}:{lineno}: {exc}") from exc
+    try:
+        return NGramVocabulary(tuple(terms), source)
+    except ValueError as exc:
+        raise DataFormatError(f"{label}: {exc}") from exc
 
 
 def save_vocabulary(vocab: NGramVocabulary, path: str | Path) -> None:

@@ -14,6 +14,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
+from .errors import DataFormatError
 from .issues import Patterns, abstract_terms
 
 TokenSequence = list[str]
@@ -42,10 +43,10 @@ def _default_lemma_table() -> dict[str, str]:
         .joinpath("data/lemma_exceptions.tsv")
         .read_text("utf-8")
     )
-    return _parse_lemma_table(data)
+    return _parse_lemma_table(data, "onhold/data/lemma_exceptions.tsv")
 
 
-def _parse_lemma_table(data: str) -> dict[str, str]:
+def _parse_lemma_table(data: str, location: str) -> dict[str, str]:
     table: dict[str, str] = {}
     for lineno, line in enumerate(data.splitlines(), start=1):
         line = line.strip()
@@ -53,7 +54,7 @@ def _parse_lemma_table(data: str) -> dict[str, str]:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"lemma table line {lineno}: expected 'token<TAB>lemma'")
+            raise DataFormatError(f"{location}:{lineno}: expected 'token<TAB>lemma'")
         table[parts[0]] = parts[1]
     return table
 
@@ -62,7 +63,7 @@ def load_lemma_table(path: str | Path | None = None) -> dict[str, str]:
     """Load a token->lemma table; ``None`` loads the bundled one."""
     if path is None:
         return dict(_default_lemma_table())
-    return _parse_lemma_table(Path(path).read_text("utf-8"))
+    return _parse_lemma_table(Path(path).read_text("utf-8"), str(path))
 
 
 def _is_vowel(word: str, i: int) -> bool:

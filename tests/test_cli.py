@@ -295,6 +295,38 @@ class TestPipeline:
         assert err.startswith(f"error: {model}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["a\t2\n", "a\t2\tmany\n", "a\t2\t1.0\na\t3\t2.0\n"],
+        ids=["short-line", "bad-weight", "duplicate-term"],
+    )
+    def test_malformed_vocabulary_file_is_a_user_error(
+        self, dataset_path, tmp_path, capsys, text
+    ):
+        model, vocab = self.train(dataset_path, tmp_path)
+        vocab.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        code = cli_main(
+            ["classify", "--model", str(model), "--vocab", str(vocab),
+             "--input", str(dataset_path), "--out", str(tmp_path / "p.tsv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {vocab}")
+        assert "Traceback" not in err
+
+    def test_malformed_lemma_table_is_a_user_error(self, dataset_path, tmp_path, capsys):
+        table = tmp_path / "lemmas.tsv"
+        table.write_text("foo\tbar\nbroken line\n", encoding="utf-8")
+        code = cli_main(
+            ["train", "--dataset", str(dataset_path), "--model", str(tmp_path / "m.json"),
+             "--vocab", str(tmp_path / "v.tsv"), "--lemma-table", str(table)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table}:2: ")
+        assert "Traceback" not in err
+
     def check_input(self, tmp_path) -> Path:
         table = datasetio.format_table(
             ("comment_text", "file_path", "line_number", "issue_key", "label",
@@ -505,6 +537,20 @@ class TestMine:
         (row,) = read_table(out)[1]
         assert row[8] != ""
         assert row[9] == "2021-01-02T12:00:00Z"
+
+    def test_text_block_contents_are_not_mined(self, git_sandbox, tmp_path):
+        git_sandbox.write("src/Server.java", (
+            "class Server {\n"
+            '    String doc = """\n'
+            "        https://issues.apache.org/jira/browse/HADOOP-7 explains it\n"
+            '        """;\n'
+            "    // TODO remove this workaround after HADOOP-1 is fixed\n"
+            "}\n"
+        ))
+        git_sandbox.commit("add server")
+        out = tmp_path / "mined.tsv"
+        assert self.mine(git_sandbox, out) == 0
+        assert [(row[4], row[2]) for row in read_table(out)[1]] == [("HADOOP-1", "5")]
 
     def test_mining_is_byte_identical_across_runs(self, git_sandbox, tmp_path):
         git_sandbox.write("src/Server.java", self.JAVA)

@@ -1,13 +1,18 @@
 """Oracle tests for the Java comment lexer.
 
 Every expectation in this module was worked out by hand from the Java
-lexical grammar (string, char, and comment token rules) before running
-the implementation.
+lexical grammar (string, text-block, char, and comment token rules) before
+running the implementation.  ``reference_comments`` below is an independent
+character-by-character scanner that the token grammar must agree with.
 """
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onhold.javalex import CommentBlock, extract_comments, normalize_whitespace
 
@@ -127,6 +132,45 @@ class TestLiteralSkipping:
     def test_apostrophe_inside_comment_text(self):
         assert spans("// it's fine\n") == [(1, 1, "it's fine")]
 
+    def test_raw_newline_ends_a_string(self):
+        assert spans('String s = "open\n// next\n') == [(2, 2, "next")]
+
+    def test_text_block_is_a_literal(self):
+        source = (
+            'String t = """\n'
+            "    see https://issues.apache.org/jira/browse/HADOOP-7 // no\n"
+            '    /* nor */ \\""" still inside\n'
+            '    """; // TODO HADOOP-3\n'
+        )
+        assert spans(source) == [(4, 4, "TODO HADOOP-3")]
+
+    def test_triple_quote_without_newline_is_not_a_text_block(self):
+        # An empty string followed by a string that a raw newline ends.
+        assert spans('String t = """ x // y\n// z\n') == [(2, 2, "z")]
+
+    def test_unclosed_text_block_runs_to_end_of_file(self):
+        assert spans('String t = """\n// a\n') == []
+        assert spans('// a\nString t = """\n// b\\') == [(1, 1, "a")]
+
+    def test_escaped_closings_after_an_unclosed_opening(self):
+        # Each escaped `\"""` line would open a new text block if the
+        # unclosed one before it fell back to strings.
+        assert spans('"""\n' + '\\"""\n// c\n' * 5000) == []
+
+
+class TestLineNumbers:
+    def test_backslash_newline_in_a_string_still_counts_the_line(self):
+        source = 'String s = "abc\\\nstill";\n// TODO HADOOP-1\n'
+        assert spans(source) == [(3, 3, "TODO HADOOP-1")]
+
+    def test_backslash_newline_in_a_char_literal_still_counts_the_line(self):
+        source = "char c = '\\\n'; x\n// TODO HADOOP-2\n"
+        assert spans(source) == [(3, 3, "TODO HADOOP-2")]
+
+    def test_every_block_keeps_its_own_line(self):
+        source = "int a;\n// first\nint x;\n/* second\n */ int y;\n// third\n"
+        assert spans(source) == [(2, 2, "first"), (4, 5, "second"), (6, 6, "third")]
+
 
 class TestWholeFileInvariants:
     SOURCES = [
@@ -198,3 +242,127 @@ class TestNormalizeWhitespace:
 
     def test_already_normal(self):
         assert normalize_whitespace("a b") == "a b"
+
+
+# -- reference scanner ------------------------------------------------------
+#
+# The character-by-character scanner the token grammar replaced, kept as an
+# independent oracle.  Two fixes over the original: line numbers come from
+# offsets (it used to miss a newline escaped inside a string or char
+# literal), and a text block is skipped as one literal.
+
+_TEXT_BLOCK_OPEN = re.compile(r'"""[ \t\f]*\r?\n')
+
+
+def _text_block_end(source: str, i: int) -> int | None:
+    """Offset one past a text block opening at ``i`` (end of file when it
+    is unclosed), or None when no text block opens there."""
+    opening = _TEXT_BLOCK_OPEN.match(source, i)
+    if opening is None:
+        return None
+    j, n = opening.end(), len(source)
+    while j < n:
+        if source[j] == "\\":
+            j += 2
+        elif source.startswith('"""', j):
+            return j + 3
+        else:
+            j += 1
+    return n
+
+
+def _char_literal_end(source: str, i: int) -> int | None:
+    """Offset one past a char literal starting at ``i``, or None."""
+    j = i + 1
+    n = len(source)
+    while j < n and source[j] not in ("'", "\n"):
+        j += 2 if source[j] == "\\" else 1
+    if j < n and source[j] == "'" and j > i + 1:
+        return j + 1
+    return None
+
+
+def _scan_segments(source: str) -> list[tuple[int, int, str, bool]]:
+    """(start, end, inner text, unterminated) of every comment segment."""
+    segments = []
+    i = 0
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c == "/" and i + 1 < n and source[i + 1] == "/":
+            start = i
+            i += 2
+            while i < n and source[i] != "\n":
+                i += 1
+            segments.append((start, i, source[start + 2:i].strip(), False))
+        elif c == "/" and i + 1 < n and source[i + 1] == "*":
+            start = i
+            i += 2
+            closed = False
+            while i < n:
+                if source[i] == "*" and i + 1 < n and source[i + 1] == "/":
+                    i += 2
+                    closed = True
+                    break
+                i += 1
+            inner_end = i - 2 if closed else i
+            segments.append((start, i, source[start + 2:inner_end].strip(), not closed))
+        elif c == '"' and _text_block_end(source, i) is not None:
+            i = _text_block_end(source, i)
+        elif c == '"':
+            i += 1
+            while i < n and source[i] not in ('"', "\n"):
+                i += 2 if source[i] == "\\" else 1
+            if i < n and source[i] == '"':
+                i += 1
+        elif c == "'":
+            end = _char_literal_end(source, i)
+            i = i + 1 if end is None else end
+        else:
+            i += 1
+    return segments
+
+
+def reference_comments(source: str, file_path: str = "") -> list[CommentBlock]:
+    def line_of(offset: int) -> int:
+        return source.count("\n", 0, offset) + 1
+
+    groups: list[list[tuple[int, int, str, bool]]] = []
+    for segment in _scan_segments(source):
+        if groups and source[groups[-1][-1][1]:segment[0]].strip() == "":
+            groups[-1].append(segment)
+        else:
+            groups.append([segment])
+    return [
+        CommentBlock(
+            file_path=file_path,
+            start_line=line_of(group[0][0]),
+            end_line=line_of(group[-1][1]),
+            raw_text=source[group[0][0]:group[-1][1]],
+            normalized_text="\n".join(segment[2] for segment in group),
+            unterminated=any(segment[3] for segment in group),
+        )
+        for group in groups
+    ]
+
+
+# Single characters plus the delimiters, text-block openings and escaped
+# newlines that random characters alone rarely form.
+LEXER_ALPHABET = [
+    "/", "*", '"', "'", "\\", "\n", "\r", "\t", "\f", "a", "é",
+    "//", "/*", "*/", '"""', '"""\n', "\\\n",
+]
+
+
+class TestReferenceAgreement:
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(st.sampled_from(LEXER_ALPHABET), max_size=60).map("".join))
+    def test_token_grammar_matches_the_reference_scanner(self, source):
+        assert extract_comments(source, "A.java") == reference_comments(source, "A.java")
+
+    @pytest.mark.parametrize("source", TestWholeFileInvariants.SOURCES + [
+        'String s = "abc\\\nstill";\n// TODO HADOOP-1\n',
+        'String t = """\n// no\n""";\n// yes\n',
+    ])
+    def test_reference_agrees_on_the_examples(self, source):
+        assert extract_comments(source) == reference_comments(source)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from onhold.errors import DataFormatError
 from onhold.ngrams import (
     CorpusStats,
     FeatureVector,
@@ -224,7 +225,7 @@ class TestVocabularyRoundTrip:
         assert parse_vocabulary(format_vocabulary(NGramVocabulary(()))) == NGramVocabulary(())
 
     def test_parse_error_names_the_line(self):
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(DataFormatError, match="<vocabulary>:2: "):
             parse_vocabulary("a\t2\t1.0\nbroken line\n")
 
     def test_save_and_load(self, tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from onhold.errors import DataFormatError
 from onhold.textprep import (
     clean,
     lemmatize,
@@ -119,7 +120,7 @@ class TestLoadLemmaTable:
     def test_malformed_line_is_rejected_with_its_number(self, tmp_path):
         path = tmp_path / "lemmas.tsv"
         path.write_text("foo\tbar\nbroken line\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="2"):
+        with pytest.raises(DataFormatError, match="2"):
             load_lemma_table(path)
 
 
