@@ -16,7 +16,6 @@ import argparse
 import io
 import itertools
 import json
-import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -32,10 +31,12 @@ from .errors import (
     TrainingError,
 )
 from .issues import (
+    JIRA_KEY,
     PatternCollection,
     Patterns,
     TrackerKind,
     build_patterns,
+    derive_patterns,
     dump_pattern_sources,
     find_issue_references,
 )
@@ -108,11 +109,10 @@ class ProjectConfig:
     project_key: str = ""
     base_url: str = ""
     cache_dir: str = ""
-    seed: int = DEFAULT_SEED
 
 
 _CONFIG_KEYS = frozenset(
-    {"repo_path", "branch", "tracker", "project_key", "base_url", "cache_dir", "seed"}
+    {"repo_path", "branch", "tracker", "project_key", "base_url", "cache_dir"}
 )
 _SECRET_HINTS = ("token", "secret", "password", "apikey", "api_key")
 
@@ -139,10 +139,6 @@ def load_project_config(path: str | Path) -> ProjectConfig:
     kind = (
         TrackerKind.parse(str(payload["tracker"])) if "tracker" in payload else None
     )
-    try:
-        seed = int(payload.get("seed", DEFAULT_SEED))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: seed must be an integer") from exc
     return ProjectConfig(
         repo_path=str(payload.get("repo_path", "")),
         branch=str(payload.get("branch", "HEAD")) or "HEAD",
@@ -150,7 +146,6 @@ def load_project_config(path: str | Path) -> ProjectConfig:
         project_key=str(payload.get("project_key", "")),
         base_url=str(payload.get("base_url", "")),
         cache_dir=str(payload.get("cache_dir", "")),
-        seed=seed,
     )
 
 
@@ -170,72 +165,41 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _resolve_seed(args: argparse.Namespace, config: ProjectConfig | None = None) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if config is not None:
-        return config.seed
-    return DEFAULT_SEED
-
-
 def _load_config(args: argparse.Namespace) -> ProjectConfig | None:
     path = getattr(args, "config", None)
     return load_project_config(path) if path else None
 
 
-def _patterns_from_args(
+def _tracker_projects(
     args: argparse.Namespace, config: ProjectConfig | None = None
-) -> Patterns:
-    trackers = [TrackerKind.parse(t) for t in (getattr(args, "tracker", None) or [])]
-    projects = list(getattr(args, "project", None) or [])
-    if not trackers and config is not None and config.tracker is not None:
-        trackers = [config.tracker]
-        projects = [config.project_key]
-    if not trackers:
-        # Jira needs a concrete project key, so the flagless default
-        # covers the trackers that work without one.
-        return PatternCollection(
-            (
-                build_patterns(TrackerKind.BUGZILLA, ""),
-                build_patterns(TrackerKind.GITHUB, ""),
-            )
-        )
+) -> list[tuple[TrackerKind, str]]:
+    """Each ``--tracker`` paired by position with its ``--project``.
+
+    Without ``--tracker`` flags, the config's tracker and project key
+    (if any) form the one pair.
+    """
+    trackers = [TrackerKind.parse(t) for t in args.tracker or []]
+    projects = list(args.project or [])
     if len(projects) > len(trackers):
         raise ConfigError(
             f"{len(projects)} --project values for {len(trackers)} --tracker values"
         )
+    if not trackers and config is not None and config.tracker is not None:
+        return [(config.tracker, config.project_key)]
     projects += [""] * (len(trackers) - len(projects))
-    sets = tuple(
-        build_patterns(kind, key) for kind, key in zip(trackers, projects)
-    )
-    return sets[0] if len(sets) == 1 else PatternCollection(sets)
+    return list(zip(trackers, projects))
 
 
-_JIRA_KEY = re.compile(r"^([A-Za-z][A-Za-z0-9]*)-\d+$")
-
-
-def _derive_patterns(args: argparse.Namespace, issue_keys: Sequence[str]) -> Patterns:
-    """Patterns from flags, else inferred from dataset issue keys.
-
-    Without explicit tracker flags, Jira pattern sets are instantiated
-    for every distinct ``KEY-123`` prefix seen in the data, alongside
-    the keyless Bugzilla and GitHub sets.
-    """
-    if getattr(args, "tracker", None):
-        return _patterns_from_args(args)
-    sets = [
-        build_patterns(TrackerKind.BUGZILLA, ""),
-        build_patterns(TrackerKind.GITHUB, ""),
-    ]
-    prefixes = sorted(
-        {
-            match.group(1).upper()
-            for key in issue_keys
-            if (match := _JIRA_KEY.match(key.strip()))
-        }
-    )
-    sets.extend(build_patterns(TrackerKind.JIRA, prefix) for prefix in prefixes)
-    return PatternCollection(tuple(sets))
+def _patterns(
+    args: argparse.Namespace,
+    config: ProjectConfig | None = None,
+    issue_keys: Sequence[str] = (),
+) -> Patterns:
+    """Pattern sets of the tracker/project pairs, else derived from issue keys."""
+    pairs = _tracker_projects(args, config)
+    if not pairs:
+        return derive_patterns(issue_keys)
+    return PatternCollection(tuple(build_patterns(kind, key) for kind, key in pairs))
 
 
 def _dataset_echo(source: str | Path, labels: Sequence[Label]) -> str:
@@ -265,7 +229,7 @@ def _cmd_mine(args: argparse.Namespace) -> None:
     if not repo:
         raise _UsageError("mine: --repo is required (or a config with repo_path)")
     branch = args.branch or (config.branch if config else "HEAD")
-    patterns = _patterns_from_args(args, config)
+    patterns = _patterns(args, config)
     history = miner.walk_history(repo, branch=branch)
     lifecycles = miner.trace_lifecycles(
         repo, history, patterns, include_tests=args.include_tests
@@ -295,7 +259,7 @@ def _cmd_mine(args: argparse.Namespace) -> None:
 
 
 def _cmd_detect(args: argparse.Namespace) -> None:
-    patterns = _patterns_from_args(args)
+    patterns = _patterns(args)
     if args.dump_patterns:
         _emit(dump_pattern_sources(patterns) + "\n", args.out)
         return
@@ -330,7 +294,7 @@ def _cmd_detect(args: argparse.Namespace) -> None:
 def _prepare_vectors(
     args: argparse.Namespace, rows: Sequence[datasetio.DatasetRow]
 ) -> tuple[list[list[str]], list[Label]]:
-    patterns = _derive_patterns(args, [row.issue_key for row in rows])
+    patterns = _patterns(args, issue_keys=[row.issue_key for row in rows])
     lemma_table = textprep.load_lemma_table(args.lemma_table)
     tokens = [
         textprep.preprocess(row.comment_text, patterns, lemma_table) for row in rows
@@ -343,7 +307,6 @@ def _cmd_train(args: argparse.Namespace) -> None:
     rows = datasetio.load_dataset(args.dataset)
     tokens, labels = _prepare_vectors(args, rows)
     _info(_dataset_echo(args.dataset, labels))
-    seed = _resolve_seed(args)
     if args.bow:
         vocab = ngrams.build_bow_vocabulary(tokens, source="training-bow")
     else:
@@ -362,7 +325,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
         vectors, labels, len(vocab), provenance=str(args.dataset)
     )
     model = learn.fit(
-        dataset, args.algorithm, smote=args.smote, seed=seed, vocabulary=vocab
+        dataset, args.algorithm, smote=args.smote, seed=args.seed, vocabulary=vocab
     )
     learn.save_model(model, args.model)
     ngrams.save_vocabulary(vocab, args.vocab)
@@ -387,9 +350,9 @@ def _cmd_classify(args: argparse.Namespace) -> None:
     positions = datasetio.column_positions(header)
     text_at = _require_column(positions, "comment_text", str(args.input))
     key_at = positions.get("issue_key")
-    patterns = _derive_patterns(
+    patterns = _patterns(
         args,
-        [fields[key_at] for _, fields in numbered] if key_at is not None else [],
+        issue_keys=[fields[key_at] for _, fields in numbered] if key_at is not None else [],
     )
     drop = {
         positions[name]
@@ -456,13 +419,9 @@ def _cmd_check(args: argparse.Namespace) -> None:
     positions = datasetio.column_positions(header)
     _require_column(positions, "comment_text", str(args.input))
     _require_column(positions, "issue_key", str(args.input))
-    flag_kinds = [TrackerKind.parse(t) for t in (args.tracker or [])]
-    default_kind = (
-        flag_kinds[0]
-        if flag_kinds
-        else (config.tracker if config else None)
-    )
-    repo = (args.project or [None])[0] or (config.project_key if config else "")
+    pairs = _tracker_projects(args, config)
+    default_kind = pairs[0][0] if pairs else None
+    projects = dict(reversed(pairs))  # a tracker's first --project wins
     base_url = args.base_url or (config.base_url if config else "")
     cache_dir = args.cache_dir or (config.cache_dir if config else "")
 
@@ -492,7 +451,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
             kind = TrackerKind.parse(raw_kind)
         elif default_kind is not None:
             kind = default_kind
-        elif _JIRA_KEY.match(key):
+        elif JIRA_KEY.match(key):
             kind = TrackerKind.JIRA
         else:
             raise ConfigError(
@@ -507,7 +466,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
         gateway_config = tracker.TrackerConfig(
             tracker=kind,
             base_url=base_url,
-            repo=repo or "",
+            repo=projects.get(kind, ""),
             fixture_dir=args.fixtures,
             cache_dir=cache_dir or None,
         )
@@ -528,7 +487,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     rows = datasetio.load_dataset(args.dataset)
     tokens, labels = _prepare_vectors(args, rows)
     _info(_dataset_echo(args.dataset, labels))
-    seed = _resolve_seed(args)
     variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
     if not variants:
         raise _UsageError("evaluate: --variants must name at least one variant")
@@ -537,7 +495,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         labels,
         variants=variants,
         k=args.k,
-        seed=seed,
+        seed=args.seed,
         max_n=args.max_n,
         global_vocab=args.global_vocab,
     )
@@ -627,7 +585,8 @@ def _add_pattern_flags(parser: argparse.ArgumentParser) -> None:
         action="append",
         choices=[kind.value for kind in TrackerKind],
         help="tracker kind; repeatable, paired positionally with --project "
-        "(default: all trackers, no project key)",
+        "(default: Bugzilla and GitHub, plus Jira for each KEY-123 prefix among "
+        "the input's issue keys)",
     )
     parser.add_argument(
         "--project",
@@ -652,11 +611,15 @@ def build_parser() -> _Parser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name: str, help_text: str, handler) -> argparse.ArgumentParser:
+    def sub(
+        name: str, help_text: str, handler, out: bool = True, seed: bool = False
+    ) -> argparse.ArgumentParser:
         p = subparsers.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(handler=handler)
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
+        if out:
+            p.add_argument("--out", default=None, help="output file (default: stdout)")
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
         return p
 
     p = sub("mine", "Trace issue-referencing comment lifecycles from git history.",
@@ -680,7 +643,8 @@ def build_parser() -> _Parser:
     )
     _add_pattern_flags(p)
 
-    p = sub("train", "Train a classifier on a labeled dataset TSV.", _cmd_train)
+    p = sub("train", "Train a classifier on a labeled dataset TSV.", _cmd_train,
+            out=False, seed=True)
     p.add_argument("--dataset", required=True, help="labeled dataset TSV")
     p.add_argument("--model", required=True, help="where to write the model file")
     p.add_argument(
@@ -726,7 +690,7 @@ def build_parser() -> _Parser:
     _add_pattern_flags(p)
 
     p = sub("evaluate", "Cross-validate classification variants on a dataset.",
-            _cmd_evaluate)
+            _cmd_evaluate, seed=True)
     p.add_argument("--dataset", required=True, help="labeled dataset TSV")
     p.add_argument("--variants", default="ngram-auto",
                    help="comma-separated variants: " + ",".join(evalstats.VARIANTS))

@@ -34,8 +34,6 @@ class DegenerateMetricWarning(UserWarning):
 
 @dataclass(frozen=True)
 class StatsConfig:
-    alpha: float = 0.05
-    k: int = 10
     delta_thresholds: tuple[float, float, float] = (0.10, 0.33, 0.474)
 
 
@@ -133,15 +131,16 @@ def compute_metrics(
     return precision, recall, f1
 
 
-def _midranks(values: Sequence[float]) -> list[float]:
+def _doubled_midranks(values: Sequence[float]) -> list[int]:
+    """Twice each value's 1-based rank; tied values share their mean rank."""
     order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
+    ranks = [0] * len(values)
     i = 0
     while i < len(order):
         j = i
         while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
             j += 1
-        rank = (i + j) / 2 + 1
+        rank = i + j + 2
         for pos in range(i, j + 1):
             ranks[order[pos]] = rank
         i = j + 1
@@ -152,26 +151,20 @@ def compute_auc(scores: Sequence[float], truth: Sequence[Label]) -> float:
     """Rank-based AUC: P(score of a positive > score of a negative)."""
     if len(scores) != len(truth):
         raise DataFormatError("scores and labels differ in length")
-    n_pos = sum(1 for t in truth if t is Label.ON_HOLD)
-    n_neg = len(truth) - n_pos
-    if n_pos == 0 or n_neg == 0:
+    positives = [s for s, t in zip(scores, truth) if t is Label.ON_HOLD]
+    negatives = [s for s, t in zip(scores, truth) if t is not Label.ON_HOLD]
+    if not positives or not negatives:
         raise ValueError("AUC needs both classes present")
-    ranks = _midranks(scores)
-    rank_sum = sum(r for r, t in zip(ranks, truth) if t is Label.ON_HOLD)
-    u = rank_sum - n_pos * (n_pos + 1) / 2
-    return u / (n_pos * n_neg)
+    return _double_u(positives, negatives) / (2 * len(positives) * len(negatives))
 
 
 def _double_u(xs: Sequence[float], ys: Sequence[float]) -> int:
-    """2U of xs over ys, exact in integers (ties contribute 1 per pair)."""
-    total = 0
-    for x in xs:
-        for y in ys:
-            if x > y:
-                total += 2
-            elif x == y:
-                total += 1
-    return total
+    """2U of xs over ys, exact in integers (ties contribute 1 per pair).
+
+    2U = 2 * (rank sum of xs among the pooled values) - n(n + 1).
+    """
+    n = len(xs)
+    return sum(_doubled_midranks(list(xs) + list(ys))[:n]) - n * (n + 1)
 
 
 def _exact_two_sided_p(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -272,9 +265,9 @@ def cliffs_delta(
     """Cliff's d over all pairs and its conventional magnitude bucket."""
     if not xs or not ys:
         raise ValueError("cliffs_delta needs two non-empty samples")
-    greater = sum(1 for x in xs for y in ys if x > y)
-    lesser = sum(1 for x in xs for y in ys if x < y)
-    d = (greater - lesser) / (len(xs) * len(ys))
+    # greater - lesser pairs = 2U - nm, since ties count once in 2U.
+    pairs = len(xs) * len(ys)
+    d = (_double_u(xs, ys) - pairs) / pairs
     small, medium, large = config.delta_thresholds
     size = abs(d)
     if size < small:

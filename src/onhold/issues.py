@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import ConfigError
 
@@ -156,6 +157,32 @@ class PatternCollection:
 
 
 Patterns = PatternSet | PatternCollection
+
+
+JIRA_KEY = re.compile(r"^([A-Za-z][A-Za-z0-9]*)-\d+$")
+
+
+def derive_patterns(issue_keys: Iterable[str] = ()) -> PatternCollection:
+    """The keyless Bugzilla and GitHub sets, plus one Jira set per distinct
+    ``KEY-123`` prefix among ``issue_keys`` (upper-cased, sorted).
+
+    Jira needs a concrete project key, so without keys only the trackers
+    that work without one are covered.
+    """
+    prefixes = sorted(
+        {
+            match.group(1).upper()
+            for key in issue_keys
+            if (match := JIRA_KEY.match(key.strip()))
+        }
+    )
+    return PatternCollection(
+        (
+            build_patterns(TrackerKind.BUGZILLA),
+            build_patterns(TrackerKind.GITHUB),
+            *(build_patterns(TrackerKind.JIRA, prefix) for prefix in prefixes),
+        )
+    )
 
 
 def _pattern_sets(patterns: Patterns) -> tuple[PatternSet, ...]:

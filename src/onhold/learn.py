@@ -87,21 +87,24 @@ def _dense(index_lists: Sequence[Sequence[int]], n_features: int) -> np.ndarray:
 class Dataset:
     """Feature vectors with labels in a fixed feature space.
 
-    ``x`` (dense 0/1 features) and ``y`` (1 = OnHold) hold the rows in
-    canonical order; they are computed once and are read-only.
+    ``order`` lists the positions of ``rows`` in canonical order; ``x``
+    (dense 0/1 features) and ``y`` (1 = OnHold) hold the rows in that
+    order.  All three are computed once and are read-only.
     """
 
     rows: tuple[tuple[FeatureVector, Label], ...]
     n_features: int
     provenance: str = ""
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
     x: np.ndarray = field(init=False, repr=False, compare=False)
     y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        order = sorted(range(len(self.rows)), key=lambda i: _row_digest(*self.rows[i]))
+        order = tuple(sorted(range(len(self.rows)), key=lambda i: _row_digest(*self.rows[i])))
         x = _dense([self.rows[i][0].indices for i in order], self.n_features)
         y = np.array([self.rows[i][1] is Label.ON_HOLD for i in order], dtype=np.uint8)
         x.flags.writeable = y.flags.writeable = False
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -582,7 +585,9 @@ def select_model(
     if not grid:
         raise ConfigError("empty candidate grid")
 
-    indices = list(range(len(train_fold.rows)))
+    # Folds over canonical positions, so the input row order cannot
+    # change the inner splits and hence the chosen candidate.
+    indices = list(train_fold.order)
     folds = evalstats.kfold_split(indices, k=min(inner_k, len(indices)), seed=seed)
     splits = []
     for fold in folds:

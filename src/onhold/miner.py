@@ -27,7 +27,6 @@ __all__ = [
     "HistoryEntry",
     "extract_comments",
     "is_test_file",
-    "mine_repository",
     "trace_lifecycles",
     "walk_history",
 ]
@@ -110,10 +109,6 @@ class CommentLifecycle:
     @property
     def removed(self) -> bool:
         return self.removed_commit is not None
-
-    @property
-    def remaining(self) -> bool:
-        return self.removed_commit is None
 
     @property
     def text_key(self) -> str:
@@ -342,13 +337,3 @@ def trace_lifecycles(
     )
     return finished
 
-
-def mine_repository(
-    repo_path: str | Path,
-    patterns: Patterns,
-    branch: str = "HEAD",
-    include_tests: bool = False,
-) -> list[CommentLifecycle]:
-    """walk_history + trace_lifecycles in one call."""
-    history = walk_history(repo_path, branch)
-    return trace_lifecycles(repo_path, history, patterns, include_tests)

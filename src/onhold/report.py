@@ -94,16 +94,26 @@ def report_payload(recommendations: Sequence[Recommendation]) -> dict[str, Any]:
     }
 
 
-def recommendations_from_payload(payload: dict[str, Any]) -> list[Recommendation]:
-    """Rebuild recommendation objects from a parsed JSON report."""
+def recommendations_from_payload(payload: Any) -> list[Recommendation]:
+    """Rebuild recommendation objects from a parsed JSON report.
+
+    Raises :class:`DataFormatError` for any payload of the wrong shape.
+    """
+    if not isinstance(payload, dict):
+        raise DataFormatError("a report must be a JSON object")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DataFormatError(
             f"unsupported report schema_version {version!r}, "
             f"expected {SCHEMA_VERSION}"
         )
+    findings = payload.get("findings", [])
+    if not isinstance(findings, list):
+        raise DataFormatError("report findings must be a JSON list")
     out: list[Recommendation] = []
-    for finding in payload.get("findings", []):
+    for finding in findings:
+        if not isinstance(finding, dict):
+            raise DataFormatError(f"malformed report finding: {finding!r}")
         try:
             introduced = parse_timestamp(finding["introduced_date"])
             resolved_raw = finding.get("issue_resolved_date")
@@ -131,15 +141,20 @@ def recommendations_from_payload(payload: dict[str, Any]) -> list[Recommendation
                 resolved_date=resolved,
                 fetched_at=introduced,
             )
-        except (KeyError, ValueError) as exc:
+            ready = bool(finding["ready"])
+            evidence = finding.get("evidence", "")
+            draft_report = finding.get("draft_report") or ""
+            if not isinstance(evidence, str) or not isinstance(draft_report, str):
+                raise ValueError("evidence and draft_report must be strings")
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise DataFormatError(f"malformed report finding: {exc}") from exc
         out.append(
             Recommendation(
                 lifecycle=lifecycle,
                 record=record,
-                ready=bool(finding["ready"]),
-                evidence=finding.get("evidence", ""),
-                draft_report=finding.get("draft_report") or "",
+                ready=ready,
+                evidence=evidence,
+                draft_report=draft_report,
             )
         )
     return out

@@ -31,6 +31,7 @@ from onhold.issues import (
     PatternCollection,
     TrackerKind,
     build_patterns,
+    derive_patterns,
     find_issue_references,
 )
 from onhold.learn import Label, smote_oversample
@@ -61,24 +62,9 @@ def _released_dataset_path() -> Path | None:
     return Path(value) if value else None
 
 
-_JIRA_KEY_SHAPE = __import__("re").compile(r"^([A-Za-z][A-Za-z0-9]*)-\d+$")
-
-
 def _tokenize(texts, issue_keys):
-    """Mirror the CLI preprocessing: infer pattern sets from issue keys."""
-    sets = [
-        build_patterns(TrackerKind.BUGZILLA, ""),
-        build_patterns(TrackerKind.GITHUB, ""),
-    ]
-    prefixes = sorted(
-        {
-            match.group(1).upper()
-            for key in issue_keys
-            if (match := _JIRA_KEY_SHAPE.match(key.strip()))
-        }
-    )
-    sets.extend(build_patterns(TrackerKind.JIRA, prefix) for prefix in prefixes)
-    patterns = PatternCollection(tuple(sets))
+    """The CLI preprocessing: pattern sets derived from the issue keys."""
+    patterns = derive_patterns(issue_keys)
     lemma = textprep.load_lemma_table()
     return [textprep.preprocess(text, patterns, lemma) for text in texts]
 

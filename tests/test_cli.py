@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from onhold import datasetio
-from onhold.cli import DEFAULT_SEED, cli_main, load_project_config
+from onhold import datasetio, tracker
+from onhold.cli import cli_main, load_project_config
 from onhold.errors import ConfigError
 from onhold.issues import TrackerKind
 from onhold.learn import Label
@@ -98,6 +98,39 @@ class TestExitCodes:
         assert cli_main(["report", "--input", str(bad)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "[]",
+            '{"schema_version": 1, "findings": 3}',
+            '{"schema_version": 1, "findings": ["x"]}',
+            '{"schema_version": 1, "findings": [{"introduced_date": 5}]}',
+        ],
+        ids=["list", "findings-not-a-list", "finding-not-an-object", "date-not-a-string"],
+    )
+    def test_report_input_of_the_wrong_shape(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload, encoding="utf-8")
+        assert cli_main(["report", "--input", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mine", "--repo", "absent", "--seed", "1"],
+            ["train", "--dataset", "absent.tsv", "--model", "m.json", "--vocab", "v.tsv",
+             "--out", "x"],
+        ],
+        ids=["mine-seed", "train-out"],
+    )
+    def test_options_that_nothing_reads_are_rejected(self, tmp_path, monkeypatch, capsys,
+                                                     argv):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_auth_failure_is_an_environment_error(self, tmp_path, capsys):
         fixtures = tmp_path / "fixtures"
         fixtures.mkdir()
@@ -132,7 +165,6 @@ class TestProjectConfig:
                     "project_key": "HADOOP",
                     "base_url": "https://issues.example.org",
                     "cache_dir": "/tmp/cache",
-                    "seed": 7,
                 }
             ),
             encoding="utf-8",
@@ -142,7 +174,6 @@ class TestProjectConfig:
         assert config.branch == "trunk"
         assert config.tracker is TrackerKind.JIRA
         assert config.project_key == "HADOOP"
-        assert config.seed == 7
 
     def test_defaults(self, tmp_path):
         path = tmp_path / "project.json"
@@ -150,7 +181,6 @@ class TestProjectConfig:
         config = load_project_config(path)
         assert config.branch == "HEAD"
         assert config.tracker is None
-        assert config.seed == DEFAULT_SEED
 
     @pytest.mark.parametrize(
         "key", ["api_token", "jira_token", "secret", "password", "apiKey"]
@@ -387,6 +417,37 @@ class TestPipeline:
         assert [(f["file_path"], f["issue_key"]) for f in findings] == [
             ("src/A.java", "HADOOP-6223"),
             ("src/B.java", "HADOOP-6223"),
+        ]
+
+    def test_check_pairs_each_tracker_with_its_own_project(self, tmp_path, monkeypatch):
+        requests = []
+
+        def fetch(transport, config, key):
+            requests.append((config.tracker.value, config.repo, key))
+            if config.tracker is TrackerKind.GITHUB:
+                return 200, {"state": "open"}
+            return 200, {"fields": {"status": {"name": "Open"}}}
+
+        monkeypatch.setattr(tracker.HttpTransport, "fetch", fetch)
+        table = datasetio.format_table(
+            ("comment_text", "issue_key", "tracker", "label"),
+            [
+                ["remove after HADOOP-1", "HADOOP-1", "jira", "OnHold"],
+                ["remove after issue 7", "7", "github", "OnHold"],
+            ],
+        )
+        source = tmp_path / "remaining.tsv"
+        source.write_text(table, encoding="utf-8")
+        code = cli_main(
+            ["check", "--input", str(source), "--base-url", "https://issues.example.org",
+             "--tracker", "jira", "--project", "HADOOP",
+             "--tracker", "github", "--project", "apache/dubbo",
+             "--out", str(tmp_path / "check.json")]
+        )
+        assert code == 0
+        assert sorted(requests) == [
+            ("github", "apache/dubbo", "7"),
+            ("jira", "HADOOP", "HADOOP-1"),
         ]
 
     def test_check_keeps_equal_keys_of_two_trackers_apart(self, tmp_path):

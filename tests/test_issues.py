@@ -17,6 +17,7 @@ from onhold.issues import (
     TrackerKind,
     abstract_terms,
     build_patterns,
+    derive_patterns,
     dump_pattern_sources,
     find_issue_references,
 )
@@ -83,6 +84,15 @@ class TestPatternInstantiation:
     def test_empty_collection_is_rejected(self):
         with pytest.raises(ConfigError):
             PatternCollection(())
+
+    def test_derived_sets_cover_each_jira_prefix_once(self):
+        derived = derive_patterns(["HADOOP-1", "hbase-2", "7", " HADOOP-3 "])
+        assert [(p.tracker, p.project_key) for p in derived.sets] == [
+            (TrackerKind.BUGZILLA, ""),
+            (TrackerKind.GITHUB, ""),
+            (TrackerKind.JIRA, "HADOOP"),
+            (TrackerKind.JIRA, "HBASE"),
+        ]
 
     def test_dump_lists_every_source(self, all_patterns):
         dump = dump_pattern_sources(all_patterns)

@@ -8,11 +8,14 @@ four corners right while a depth-2 tree does.
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
 
+from onhold import textprep
 from onhold.errors import ConfigError, DataFormatError, TrainingError
+from onhold.issues import derive_patterns
 from onhold.learn import (
     ALGORITHMS,
     Dataset,
@@ -29,7 +32,9 @@ from onhold.learn import (
     vocabulary_digest,
 )
 from onhold.learn import _row_digest
-from onhold.ngrams import FeatureVector, extract_terms
+from onhold.ngrams import FeatureVector, extract_terms, vectorize
+
+from corpus import generate_corpus
 
 
 def fv(*indices: int) -> FeatureVector:
@@ -372,6 +377,27 @@ class TestSelectModel:
         b = select_model(XOR, inner_k=3, seed=2)
         assert a.algorithm == b.algorithm
         assert a.hyperparameters == b.hyperparameters
+
+    def test_row_order_does_not_change_the_choice(self):
+        # On this corpus, inner folds cut from input positions picked
+        # KNN for some shuffles and LinearSVM for others.
+        entries = generate_corpus(size=60, seed=7)
+        patterns = derive_patterns([e.issue_key for e in entries])
+        lemma = textprep.load_lemma_table()
+        tokens = [textprep.preprocess(e.text, patterns, lemma) for e in entries]
+        vocab = extract_terms([t for t, e in zip(tokens, entries) if e.label is ON])
+        rows = [(vectorize(t, vocab), e.label) for t, e in zip(tokens, entries)]
+        probes = [vector for vector, _ in rows]
+        grid = [("NaiveBayes", {"alpha": 1.0}), ("KNN", {"k": 1}), ("KNN", {"k": 5}),
+                ("LinearSVM", {"lam": 1e-2, "epochs": 30})]
+        fitted = set()
+        for shuffle in range(6):
+            random.Random(shuffle).shuffle(rows)
+            model = select_model(Dataset(tuple(rows), len(vocab)), candidate_grid=grid)
+            scores = predict_proba_batch(model, probes)
+            fitted.add((model.algorithm, json.dumps(model.hyperparameters, sort_keys=True),
+                        tuple(scores.tolist())))
+        assert len(fitted) == 1
 
     def test_vocabulary_hash_is_attached(self):
         vocab = extract_terms([["a", "b"], ["a", "b"]])

@@ -19,7 +19,6 @@ from onhold.miner import (
     CommentLifecycle,
     GitCatFile,
     is_test_file,
-    mine_repository,
     trace_lifecycles,
     walk_history,
 )
@@ -166,7 +165,8 @@ class TestGitCatFile:
 
 class TestTraceLifecycles:
     def mine(self, sandbox, patterns, **kwargs):
-        return mine_repository(sandbox.root, patterns, **kwargs)
+        history = walk_history(sandbox.root)
+        return trace_lifecycles(sandbox.root, history, patterns, **kwargs)
 
     def test_surviving_comment_is_remaining(self, git_sandbox, jira_patterns):
         git_sandbox.write("A.java", ON_HOLD_JAVA)
@@ -175,7 +175,7 @@ class TestTraceLifecycles:
         git_sandbox.commit("unrelated change")
 
         (life,) = self.mine(git_sandbox, jira_patterns)
-        assert life.remaining
+        assert not life.removed
         assert life.introduced_commit == c1
         assert life.introduced_date == datetime(2021, 1, 1, 12, 0, tzinfo=UTC)
         assert life.block.file_path == "A.java"
@@ -245,7 +245,7 @@ class TestTraceLifecycles:
         git_sandbox.commit("reformat")
 
         (life,) = self.mine(git_sandbox, jira_patterns)
-        assert life.remaining
+        assert not life.removed
         assert life.introduced_commit == c1
 
     def test_rewording_ends_one_lifecycle_and_starts_another(
@@ -259,7 +259,7 @@ class TestTraceLifecycles:
         lives = self.mine(git_sandbox, jira_patterns)
         assert len(lives) == 2
         closed = [l for l in lives if l.removed]
-        opened = [l for l in lives if l.remaining]
+        opened = [l for l in lives if not l.removed]
         assert [l.introduced_commit for l in closed] == [c1]
         assert [l.removed_commit for l in closed] == [c2]
         assert [l.introduced_commit for l in opened] == [c2]
@@ -292,7 +292,7 @@ class TestTraceLifecycles:
         first, second = lives
         assert (first.introduced_commit, first.removed_commit) == (c1, c2)
         assert second.introduced_commit == c3
-        assert second.remaining
+        assert not second.removed
 
     def test_rename_is_a_removal_plus_an_introduction(self, git_sandbox, jira_patterns):
         git_sandbox.write("A.java", ON_HOLD_JAVA)
@@ -304,7 +304,7 @@ class TestTraceLifecycles:
         assert len(lives) == 2
         by_path = {l.block.file_path: l for l in lives}
         assert by_path["A.java"].removed_commit == c2
-        assert by_path["B.java"].remaining
+        assert not by_path["B.java"].removed
         assert by_path["B.java"].introduced_commit == c2
 
     def test_test_files_are_excluded_by_default(self, git_sandbox, jira_patterns):
@@ -368,7 +368,7 @@ class TestTraceLifecycles:
 
         lives = self.mine(git_sandbox, jira_patterns)
         removed = [l for l in lives if l.removed]
-        remaining = [l for l in lives if l.remaining]
+        remaining = [l for l in lives if not l.removed]
         assert len(removed) + len(remaining) == len(lives) == 3
 
     def test_trace_accepts_a_precomputed_history(self, git_sandbox, jira_patterns):

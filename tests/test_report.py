@@ -165,3 +165,13 @@ class TestPayloadRoundTrip:
         del payload["findings"][0]["issue_key"]
         with pytest.raises(DataFormatError, match="malformed"):
             recommendations_from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("draft_report", 5), ("evidence", ["x"]), ("start_line", [1]), ("comment_text", 3)],
+    )
+    def test_wrongly_typed_field_is_rejected(self, field, value):
+        payload = report_payload([make_recommendation()])
+        payload["findings"][0][field] = value
+        with pytest.raises(DataFormatError, match="malformed"):
+            recommendations_from_payload(payload)

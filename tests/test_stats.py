@@ -11,7 +11,7 @@ import itertools
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from onhold.errors import DataFormatError
@@ -35,6 +35,13 @@ from onhold.evalstats import (
     results_tsv,
 )
 from onhold.learn import Label
+
+try:  # scipy is a test-only oracle, not a dependency
+    from scipy import stats as scipy_stats
+except ImportError:
+    scipy_stats = None
+
+needs_scipy = pytest.mark.skipif(scipy_stats is None, reason="scipy is not installed")
 
 ON = Label.ON_HOLD
 CROSS = Label.CROSS_REFERENCE
@@ -161,6 +168,18 @@ class TestComputeAuc:
         expected = u / (len(pos_scores) * len(neg_scores))
         assert compute_auc(scores, truth) == pytest.approx(expected, abs=1e-12)
 
+    @needs_scipy
+    @settings(deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=30),
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=30),
+    )
+    def test_auc_matches_scipy_u(self, pos_scores, neg_scores):
+        truth = [ON] * len(pos_scores) + [CROSS] * len(neg_scores)
+        u = scipy_stats.mannwhitneyu(pos_scores, neg_scores).statistic
+        expected = u / (len(pos_scores) * len(neg_scores))
+        assert compute_auc(pos_scores + neg_scores, truth) == pytest.approx(expected, abs=1e-12)
+
 
 class TestMannWhitney:
     def test_identical_singletons(self):
@@ -199,6 +218,21 @@ class TestMannWhitney:
         ys = [float(v) for v in range(30)]
         _, p = mann_whitney(xs, ys)
         assert p < 0.01
+
+    @needs_scipy
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 6), min_size=11, max_size=40),
+        st.lists(st.integers(0, 6), min_size=10, max_size=40),
+    )
+    def test_normal_approximation_matches_scipy(self, xs, ys):
+        assume(len(set(xs + ys)) > 1)
+        u, p = mann_whitney(xs, ys)
+        oracle = scipy_stats.mannwhitneyu(
+            xs, ys, alternative="two-sided", method="asymptotic", use_continuity=True
+        )
+        assert u == oracle.statistic
+        assert p == pytest.approx(oracle.pvalue, rel=1e-9, abs=1e-15)
 
     def test_normal_approximation_on_identical_samples(self):
         values = [float(v) for v in range(15)]
@@ -443,6 +477,4 @@ class TestTsvRenderers:
 
     def test_stats_config_defaults(self):
         config = StatsConfig()
-        assert config.alpha == 0.05
-        assert config.k == 10
         assert config.delta_thresholds == (0.10, 0.33, 0.474)
