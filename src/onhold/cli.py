@@ -45,13 +45,6 @@ from .learn import Label
 from .miner import CommentLifecycle
 from .timestamps import format_timestamp, parse_timestamp
 
-__all__ = [
-    "DEFAULT_SEED",
-    "ProjectConfig",
-    "load_project_config",
-    "cli_main",
-    "console_main",
-]
 
 DEFAULT_SEED = 0
 
@@ -366,7 +359,7 @@ def _cmd_classify(args: argparse.Namespace) -> None:
         )
         for _, fields in numbered
     ]
-    scores = learn.predict_proba_batch(model, vectors)
+    scores = learn.predict_proba_batch(model, learn.feature_matrix(vectors, model.n_features))
     out_rows: list[list[str]] = []
     n_on_hold = 0
     for (_, fields), score in zip(numbered, scores):

@@ -20,21 +20,6 @@ from .errors import DataFormatError
 from .learn import Label
 from .timestamps import format_timestamp, parse_timestamp
 
-__all__ = [
-    "COLUMNS",
-    "REQUIRED_COLUMNS",
-    "DatasetRow",
-    "escape_field",
-    "unescape_field",
-    "format_table",
-    "parse_table",
-    "load_table",
-    "column_positions",
-    "format_dataset",
-    "parse_dataset",
-    "save_dataset",
-    "load_dataset",
-]
 
 COLUMNS = (
     "comment_text",

@@ -418,15 +418,14 @@ _METRICS = ("precision", "recall", "f1", "auc")
 
 
 def score_model(
-    model: learn.TrainedModel,
-    vectors: Sequence[ngrams.FeatureVector],
-    truth: Sequence[Label],
+    model: learn.TrainedModel, held_out: Dataset
 ) -> tuple[float, float, float, float]:
     """Precision, recall, F1 and AUC on held-out rows.
 
     A test fold with one class gets the neutral AUC 0.5.
     """
-    scores = learn.predict_proba_batch(model, vectors)
+    scores = learn.predict_proba_batch(model, held_out.x)
+    truth = [Label.ON_HOLD if on_hold else Label.CROSS_REFERENCE for on_hold in held_out.y]
     precision, recall, f1 = compute_metrics([model.label(s) for s in scores], truth)
     auc = compute_auc(list(scores), truth) if len(set(truth)) == 2 else 0.5
     return precision, recall, f1, auc
@@ -469,12 +468,7 @@ def evaluate_variants(
         held = set(fold)
         train_idx = [i for i in indices if i not in held]
         train_comments = [comments[i] for i in train_idx]
-        train_labels = [labels[i] for i in train_idx]
-        test_comments = [comments[i] for i in fold]
-        test_labels = [labels[i] for i in fold]
-
-        positives = [c for c, lab in zip(train_comments, train_labels)
-                     if lab is Label.ON_HOLD]
+        positives = [comments[i] for i in train_idx if labels[i] is Label.ON_HOLD]
         if whole_vocab is not None:
             vocab = whole_vocab
         else:
@@ -482,7 +476,7 @@ def evaluate_variants(
                                          source=f"fold-{fold_no}")
         # Each feature space is vectorized once per fold and shared by
         # every variant that trains on it.
-        prepared: dict[str, tuple[Dataset, list[ngrams.FeatureVector]]] = {}
+        prepared: dict[str, tuple[Dataset, Dataset]] = {}
         for variant in variants:
             features, smote, algorithm = _VARIANT_PLANS[variant]
             if features not in prepared:
@@ -493,15 +487,17 @@ def evaluate_variants(
                     raise ValueError(
                         f"fold {fold_no}: empty vocabulary; corpus too small for {variant}"
                     )
-                train_ds = learn.make_dataset(
-                    [ngrams.vectorize(c, current) for c in train_comments], train_labels,
-                    len(current), provenance=f"fold-{fold_no}-train",
+                prepared[features] = tuple(
+                    learn.make_dataset(
+                        [ngrams.vectorize(comments[i], current) for i in part],
+                        [labels[i] for i in part], len(current),
+                        provenance=f"fold-{fold_no}-{name}",
+                    )
+                    for name, part in (("train", train_idx), ("test", fold))
                 )
-                test_vectors = [ngrams.vectorize(c, current) for c in test_comments]
-                prepared[features] = (train_ds, test_vectors)
-            train_ds, test_vectors = prepared[features]
+            train_ds, test_ds = prepared[features]
             model = learn.fit(train_ds, algorithm, smote=smote, seed=seed)
-            scores = score_model(model, test_vectors, test_labels)
+            scores = score_model(model, test_ds)
             for metric, value in zip(_METRICS, scores):
                 collected[variant][metric].append(value)
 

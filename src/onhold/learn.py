@@ -6,12 +6,12 @@ subsampling per node), Bernoulli naive Bayes with add-one smoothing, a
 linear SVM trained by Pegasos-style stochastic subgradient descent, and
 k-nearest-neighbours under Jaccard distance on feature index sets.
 
-Every random choice (bootstrap draws, feature subsets, SGD order) is
-made after the training rows have been put into a canonical order keyed
-to a content hash of each row, so permuting the input row order cannot
-change a fitted model or its predictions.  Each ``Dataset`` computes
-that order, and its dense 0/1 matrix in that order, once when it is
-built; every fit on it reads the same arrays.
+A labeled row has one form: a row of a ``Dataset``'s 0/1 matrix, which
+``feature_matrix`` builds from ``FeatureVector``s.  Rows enter a
+``Dataset`` sorted by a content hash of each row, and every random
+choice (bootstrap draws, feature subsets, SGD order) is made on that
+order, so permuting the input rows cannot change a fitted model.  A
+subset of sorted rows is still sorted, so inner CV folds are slices.
 
 On 0/1 features the ExtraTrees "uniformly random threshold between
 observed feature values" degenerates to the midpoint 0.5, which makes
@@ -73,47 +73,72 @@ DEFAULT_GRID: tuple[tuple[str, dict[str, Any]], ...] = (
 )
 
 
-def _dense(index_lists: Sequence[Sequence[int]], n_features: int) -> np.ndarray:
-    """0/1 matrix with one row per list of feature indices."""
-    x = np.zeros((len(index_lists), n_features), dtype=np.uint8)
-    for i, indices in enumerate(index_lists):
+def feature_matrix(vectors: Sequence[FeatureVector], n_features: int) -> np.ndarray:
+    """0/1 matrix with one row per feature vector."""
+    x = np.zeros((len(vectors), n_features), dtype=np.uint8)
+    for i, indices in enumerate(vector.indices for vector in vectors):
         if indices and not 0 <= min(indices) <= max(indices) < n_features:
             raise ValueError(f"feature indices {list(indices)} outside 0..{n_features - 1}")
         x[i, list(indices)] = 1
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature vectors with labels in a fixed feature space.
+    """Labeled rows in a fixed feature space, as read-only arrays.
 
-    ``order`` lists the positions of ``rows`` in canonical order; ``x``
-    (dense 0/1 features) and ``y`` (1 = OnHold) hold the rows in that
-    order.  All three are computed once and are read-only.
+    ``x`` (0/1 features) and ``y`` (1 = OnHold) hold the rows in
+    canonical order; row j came from input position ``order[j]``.
+    Build one with ``make_dataset`` and cut it with ``subset``.
     """
 
-    rows: tuple[tuple[FeatureVector, Label], ...]
-    n_features: int
+    x: np.ndarray
+    y: np.ndarray
+    order: np.ndarray = field(repr=False)
     provenance: str = ""
-    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    x: np.ndarray = field(init=False, repr=False, compare=False)
-    y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        order = tuple(sorted(range(len(self.rows)), key=lambda i: _row_digest(*self.rows[i])))
-        x = _dense([self.rows[i][0].indices for i in order], self.n_features)
-        y = np.array([self.rows[i][1] is Label.ON_HOLD for i in order], dtype=np.uint8)
-        x.flags.writeable = y.flags.writeable = False
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        for array in (self.x, self.y, self.order):
+            array.flags.writeable = False
+
+    @property
+    def n_features(self) -> int:
+        return self.x.shape[1]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.y)
+
+    @property
+    def rows(self) -> tuple[tuple[FeatureVector, Label], ...]:
+        """(vector, label) pairs in input order; SMOTE's rows come last."""
+        return tuple(
+            (FeatureVector(tuple(np.flatnonzero(self.x[j]).tolist())),
+             Label.ON_HOLD if self.y[j] else Label.CROSS_REFERENCE)
+            for j in np.argsort(self.order)
+        )
 
     def class_counts(self) -> dict[Label, int]:
         on_hold = int(self.y.sum())
-        return {Label.ON_HOLD: on_hold, Label.CROSS_REFERENCE: len(self.rows) - on_hold}
+        return {Label.ON_HOLD: on_hold, Label.CROSS_REFERENCE: len(self) - on_hold}
+
+    def subset(self, positions: Sequence[int]) -> "Dataset":
+        """The rows at these canonical positions, with this dataset's input positions.
+
+        A subset of sorted rows is still sorted, so nothing is hashed again.
+        """
+        kept = np.sort(np.asarray(positions, dtype=np.intp))
+        return Dataset(self.x[kept], self.y[kept], self.order[kept], self.provenance)
+
+
+def _canonical(x: np.ndarray, y: np.ndarray, provenance: str) -> Dataset:
+    """Dataset of input-order rows sorted by blake2b over "i,j,...|y"."""
+
+    def digest(i: int) -> bytes:
+        text = ",".join(map(str, np.flatnonzero(x[i]).tolist())) + f"|{y[i]}"
+        return hashlib.blake2b(text.encode("ascii"), digest_size=16).digest()
+
+    order = np.array(sorted(range(len(y)), key=digest), dtype=np.intp)
+    return Dataset(x[order], y[order], order, provenance)
 
 
 def make_dataset(
@@ -124,14 +149,8 @@ def make_dataset(
 ) -> Dataset:
     if len(vectors) != len(labels):
         raise ValueError("vectors and labels differ in length")
-    return Dataset(tuple(zip(vectors, labels)), n_features, provenance)
-
-
-def _row_digest(vector: FeatureVector, label: Label) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(",".join(map(str, vector.indices)).encode("ascii"))
-    h.update(b"|1" if label is Label.ON_HOLD else b"|0")
-    return h.digest()
+    y = np.array([label is Label.ON_HOLD for label in labels], dtype=np.uint8)
+    return _canonical(feature_matrix(vectors, n_features), y, provenance)
 
 
 def vocabulary_digest(vocab: NGramVocabulary) -> str:
@@ -411,7 +430,8 @@ class _FittedKNN:
 
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> "_FittedKNN":
-        x = _dense(state["rows"], int(state["n_features"]))
+        rows = [FeatureVector(tuple(row)) for row in state["rows"]]
+        x = feature_matrix(rows, int(state["n_features"]))
         return cls(x, np.array(state["labels"], dtype=np.uint8), int(state["k"]))
 
 
@@ -458,7 +478,7 @@ def train(
     algorithm: str,
     hyperparameters: dict[str, Any] | None = None,
     seed: int = 0,
-    vocabulary: NGramVocabulary | str | None = None,
+    vocabulary: NGramVocabulary | None = None,
 ) -> TrainedModel:
     """Fit one classifier on the dataset.
 
@@ -489,32 +509,27 @@ def train(
     else:
         impl = _FittedKNN(x, y, int(hp["k"]))
 
-    if isinstance(vocabulary, NGramVocabulary):
-        vocab_hash: str | None = vocabulary_digest(vocabulary)
-    else:
-        vocab_hash = vocabulary
     return TrainedModel(
         algorithm=algorithm,
         hyperparameters=hp,
         n_features=dataset.n_features,
         decision_threshold=0.5,
         seed=seed,
-        vocabulary_hash=vocab_hash,
+        vocabulary_hash=vocabulary_digest(vocabulary) if vocabulary is not None else None,
         _impl=impl,
     )
 
 
-def predict_proba_batch(model: TrainedModel, vectors: Sequence[FeatureVector]) -> np.ndarray:
-    if not vectors:
-        return np.zeros(0)
-    return model._impl.predict_proba(
-        _dense([vector.indices for vector in vectors], model.n_features)
-    )
+def predict_proba_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
+    """Scores of the rows of a 0/1 matrix with the model's feature count."""
+    if x.ndim != 2 or x.shape[1] != model.n_features:
+        raise ValueError(f"a {model.n_features}-feature model cannot score a {x.shape} matrix")
+    return model._impl.predict_proba(x)
 
 
 def predict_proba(model: TrainedModel, vector: FeatureVector) -> float:
     """Score in [0, 1]; for ensembles, the fraction of trees voting OnHold."""
-    return float(predict_proba_batch(model, [vector])[0])
+    return float(predict_proba_batch(model, feature_matrix([vector], model.n_features))[0])
 
 
 def classify(model: TrainedModel, vector: FeatureVector) -> Label:
@@ -528,21 +543,18 @@ def smote_oversample(dataset: Dataset, k: int = 5, seed: int = 0) -> Dataset:
     one of its k nearest minority neighbours (Euclidean on the dense
     0/1 coordinates), re-binarized at 0.5.
     """
-    counts = dataset.class_counts()
-    minority = min(counts, key=lambda label: (counts[label], label.value))
-    majority = Label.CROSS_REFERENCE if minority is Label.ON_HOLD else Label.ON_HOLD
-    if counts[minority] < 2:
-        raise TrainingError(
-            f"SMOTE needs at least 2 minority rows, got {counts[minority]}"
-        )
-    need = counts[majority] - counts[minority]
+    on_hold = int(dataset.y.sum())
+    minority_y = int(2 * on_hold < len(dataset))  # CrossReference on a tie
+    m = on_hold if minority_y else len(dataset) - on_hold
+    if m < 2:
+        raise TrainingError(f"SMOTE needs at least 2 minority rows, got {m}")
+    need = len(dataset) - 2 * m
     if need == 0:
         return dataset
 
     # Minority rows in canonical order, so the input row order cannot
     # change the synthetic rows.
-    dense = dataset.x[dataset.y == (1 if minority is Label.ON_HOLD else 0)].astype(np.float64)
-    m = dense.shape[0]
+    dense = dataset.x[dataset.y == minority_y].astype(np.float64)
     # Hamming distance of 0/1 rows is |a| + |b| - 2 a.b; the float64
     # products are exact integers.
     sizes = dense.sum(axis=1)
@@ -552,17 +564,20 @@ def smote_oversample(dataset: Dataset, k: int = 5, seed: int = 0) -> Dataset:
     neighbour_table = np.argsort(hamming, axis=1, kind="stable")[:, :k_eff]
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    synthetic: list[tuple[FeatureVector, Label]] = []
-    for _ in range(need):
+    synthetic = np.empty((need, dataset.n_features), dtype=np.uint8)
+    for s in range(need):
         parent = int(rng.integers(m))
         neighbour = int(neighbour_table[parent][int(rng.integers(k_eff))])
         gap = rng.random()
         point = dense[parent] + gap * (dense[neighbour] - dense[parent])
-        indices = tuple(int(i) for i in np.flatnonzero(point >= 0.5))
-        synthetic.append((FeatureVector(indices), minority))
+        synthetic[s] = point >= 0.5
 
+    # The input rows in input order, then the synthetic ones.
+    inputs = np.argsort(dataset.order)
+    x = np.vstack([dataset.x[inputs], synthetic])
+    y = np.concatenate([dataset.y[inputs], np.full(need, minority_y, dtype=np.uint8)])
     provenance = f"{dataset.provenance}+smote" if dataset.provenance else "smote"
-    return Dataset(dataset.rows + tuple(synthetic), dataset.n_features, provenance)
+    return _canonical(x, y, provenance)
 
 
 def select_model(
@@ -570,7 +585,7 @@ def select_model(
     candidate_grid: Sequence[tuple[str, dict[str, Any]]] | None = None,
     inner_k: int = 3,
     seed: int = 0,
-    vocabulary: NGramVocabulary | str | None = None,
+    vocabulary: NGramVocabulary | None = None,
 ) -> TrainedModel:
     """Pick the grid candidate with the best inner-CV mean F1.
 
@@ -587,37 +602,24 @@ def select_model(
 
     # Folds over canonical positions, so the input row order cannot
     # change the inner splits and hence the chosen candidate.
-    indices = list(train_fold.order)
-    folds = evalstats.kfold_split(indices, k=min(inner_k, len(indices)), seed=seed)
+    n = len(train_fold)
+    folds = evalstats.kfold_split(range(n), k=min(inner_k, n), seed=seed)
     splits = []
     for fold in folds:
-        held = set(fold)
-        train_rows = tuple(train_fold.rows[i] for i in indices if i not in held)
-        test_rows = [train_fold.rows[i] for i in fold]
-        if not test_rows:
-            continue
-        inner = Dataset(train_rows, train_fold.n_features, "inner-train")
+        inner = train_fold.subset(np.setdiff1d(np.arange(n), fold))
         if min(inner.class_counts().values()) == 0:
             continue
-        splits.append((inner, [v for v, _ in test_rows], [label for _, label in test_rows]))
+        splits.append((inner, train_fold.subset(fold)))
 
-    best: tuple[float, float] | None = None
-    best_candidate = grid[0]
-    if splits:
-        for candidate in grid:
-            algorithm, hp = candidate
-            f1_scores, auc_scores = [], []
-            for inner, vectors, truth in splits:
-                model = train(inner, algorithm, hp, seed=seed)
-                _, _, f1, auc = evalstats.score_model(model, vectors, truth)
-                f1_scores.append(f1)
-                auc_scores.append(auc)
-            key = (sum(f1_scores) / len(f1_scores), sum(auc_scores) / len(auc_scores))
-            if best is None or key > best:
-                best = key
-                best_candidate = candidate
-    return train(train_fold, best_candidate[0], best_candidate[1], seed=seed,
-                 vocabulary=vocabulary)
+    def mean_f1_auc(candidate: tuple[str, dict[str, Any]]) -> tuple[float, float]:
+        algorithm, hp = candidate
+        scores = [evalstats.score_model(train(inner, algorithm, hp, seed=seed), held_out)
+                  for inner, held_out in splits]
+        return (sum(s[2] for s in scores) / len(scores), sum(s[3] for s in scores) / len(scores))
+
+    # max keeps the first of equal keys, so ties go to the earlier grid position.
+    best = max(grid, key=mean_f1_auc) if splits else grid[0]
+    return train(train_fold, best[0], best[1], seed=seed, vocabulary=vocabulary)
 
 
 def fit(
@@ -625,7 +627,7 @@ def fit(
     algorithm: str,
     smote: bool = False,
     seed: int = 0,
-    vocabulary: NGramVocabulary | str | None = None,
+    vocabulary: NGramVocabulary | None = None,
 ) -> TrainedModel:
     """Train one algorithm, or select one by inner CV for "auto"; SMOTE first if asked."""
     if smote:

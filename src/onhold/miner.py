@@ -20,16 +20,6 @@ from .errors import ConfigError
 from .javalex import CommentBlock, extract_comments, normalize_whitespace
 from .issues import IssueReference, Patterns, TrackerKind, find_issue_references
 
-__all__ = [
-    "ChangedFile",
-    "CommentLifecycle",
-    "GitCatFile",
-    "HistoryEntry",
-    "extract_comments",
-    "is_test_file",
-    "trace_lifecycles",
-    "walk_history",
-]
 
 _NAME_SUFFIXES = ("testcase", "tests", "test")
 

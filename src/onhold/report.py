@@ -21,14 +21,6 @@ from .miner import CommentLifecycle
 from .timestamps import format_timestamp, parse_timestamp
 from .tracker import IssueRecord, Recommendation
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "REPORT_FORMATS",
-    "load_report_schema",
-    "report_payload",
-    "recommendations_from_payload",
-    "render_report",
-]
 
 SCHEMA_VERSION = 1
 

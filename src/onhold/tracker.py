@@ -8,9 +8,11 @@ ITS_JIRA_TOKEN, ITS_BUGZILLA_TOKEN), never from configuration files.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -213,33 +215,42 @@ class IssueGateway:
     # -- disk cache -------------------------------------------------
 
     def _cache_path(self, key: str) -> Path | None:
+        """{tracker}_{server digest}_{key}.json: equal keys of two servers stay apart."""
         if self.config.cache_dir is None:
             return None
-        return Path(self.config.cache_dir) / f"{self.config.tracker.value}_{key}.json"
+        server = hashlib.blake2b(
+            json.dumps([self.config.base_url, self.config.repo]).encode("utf-8"), digest_size=8
+        ).hexdigest()
+        return Path(self.config.cache_dir) / f"{self.config.tracker.value}_{server}_{key}.json"
 
     def _read_disk(self, key: str) -> IssueRecord | None:
+        """The cached record, or None when it is missing, expired or malformed."""
         path = self._cache_path(key)
         if path is None or not path.exists():
             return None
         try:
             entry = json.loads(path.read_text(encoding="utf-8"))
-            fetched_at = parse_timestamp(entry["fetched_at"])
-        except (ValueError, KeyError):
+            fits = (
+                entry["tracker"] == self.config.tracker.value
+                and entry["key"] == key
+                and isinstance(entry["status"], str)
+                and isinstance(entry.get("resolution"), (str, type(None)))
+            )
+            resolved = entry.get("resolved_date")
+            record = IssueRecord(
+                tracker=self.config.tracker,
+                key=key,
+                raw_status=entry["status"],
+                raw_resolution=entry.get("resolution"),
+                resolved_date=parse_timestamp(resolved) if resolved else None,
+                fetched_at=parse_timestamp(entry["fetched_at"]),
+            )
+        except (ValueError, KeyError, TypeError, AttributeError):
             return None
-        age = (self._clock() - fetched_at).total_seconds()
-        if age > self.config.cache_ttl_seconds:
+        age = (self._clock() - record.fetched_at).total_seconds()
+        if not fits or age > self.config.cache_ttl_seconds:
             return None
-        return IssueRecord(
-            tracker=TrackerKind.parse(entry["tracker"]),
-            key=entry["key"],
-            raw_status=entry["status"],
-            raw_resolution=entry.get("resolution"),
-            resolved_date=(
-                parse_timestamp(entry["resolved_date"])
-                if entry.get("resolved_date") else None
-            ),
-            fetched_at=fetched_at,
-        )
+        return record
 
     def _write_disk(self, record: IssueRecord) -> None:
         path = self._cache_path(record.key)
@@ -257,7 +268,16 @@ class IssueGateway:
             ),
             "fetched_at": format_timestamp(record.fetched_at),
         }
-        path.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+        # fetch_many writes from several threads: write a private temp
+        # file, then rename it over the entry, so no reader sees half a file.
+        fd, temp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(entry, sort_keys=True))
+            os.replace(temp, path)
+        except BaseException:
+            os.unlink(temp)
+            raise
 
     # -- fetching ---------------------------------------------------
 

@@ -32,7 +32,7 @@ def test_tracer_wraps_and_restores_every_hooked_name(monkeypatch):
             2,
         )
         model = learn.select_model(dataset, candidate_grid=[("NaiveBayes", {})], inner_k=2)
-        learn.predict_proba_batch(model, [FeatureVector((0,))])
+        learn.predict_proba_batch(model, learn.feature_matrix([FeatureVector((0,))], 2))
     finally:
         tracer.uninstall()
 

@@ -480,6 +480,40 @@ class TestPipeline:
             ("src/B.java", "bugzilla", False),
         ]
 
+    @pytest.mark.parametrize(
+        "kind,flag,servers,payloads",
+        [
+            ("github", "--project", ("a/x", "b/y"),
+             ({"state": "closed"}, {"state": "open"})),
+            ("bugzilla", "--base-url", ("https://bugs.one.org", "https://bugs.two.org"),
+             ({"bugs": [{"status": "RESOLVED", "resolution": "FIXED"}]},
+              {"bugs": [{"status": "NEW", "resolution": ""}]})),
+        ],
+        ids=["project", "base-url"],
+    )
+    def test_check_cache_keeps_two_servers_apart(self, kind, flag, servers, payloads,
+                                                  tmp_path):
+        table = datasetio.format_table(
+            ("comment_text", "file_path", "issue_key", "tracker", "label"),
+            [["remove after issue 7", "src/A.java", "7", kind, "OnHold"]],
+        )
+        source = tmp_path / "remaining.tsv"
+        source.write_text(table, encoding="utf-8")
+        ready = []
+        for n, (server, payload) in enumerate(zip(servers, payloads)):
+            fixtures = tmp_path / f"fixtures-{n}"
+            fixtures.mkdir()
+            (fixtures / f"{kind}_7.json").write_text(json.dumps(payload), encoding="utf-8")
+            out = tmp_path / f"check-{n}.json"
+            code = cli_main(
+                ["check", "--input", str(source), "--fixtures", str(fixtures),
+                 "--cache-dir", str(tmp_path / "cache"), "--tracker", kind, flag, server,
+                 "--out", str(out)]
+            )
+            assert code == 0
+            ready.append(json.loads(out.read_text(encoding="utf-8"))["findings"][0]["ready"])
+        assert ready == [True, False]
+
     def test_check_makes_no_network_calls(self, tmp_path, monkeypatch):
         import requests
 

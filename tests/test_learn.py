@@ -7,20 +7,23 @@ four corners right while a depth-2 tree does.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from onhold import textprep
 from onhold.errors import ConfigError, DataFormatError, TrainingError
 from onhold.issues import derive_patterns
 from onhold.learn import (
     ALGORITHMS,
-    Dataset,
     Label,
     classify,
+    feature_matrix,
     load_model,
     make_dataset,
     predict_proba,
@@ -31,7 +34,6 @@ from onhold.learn import (
     train,
     vocabulary_digest,
 )
-from onhold.learn import _row_digest
 from onhold.ngrams import FeatureVector, extract_terms, vectorize
 
 from corpus import generate_corpus
@@ -43,6 +45,34 @@ def fv(*indices: int) -> FeatureVector:
 
 ON = Label.ON_HOLD
 CROSS = Label.CROSS_REFERENCE
+
+
+def _row_digest(vector: FeatureVector, label: Label) -> bytes:
+    """Reference canonical key: blake2b over "i,j,...|1" (OnHold) or "|0"."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(",".join(map(str, vector.indices)).encode("ascii"))
+    h.update(b"|1" if label is Label.ON_HOLD else b"|0")
+    return h.digest()
+
+
+def reference_arrays(pairs, n_features):
+    """(x, y) of (FeatureVector, Label) pairs sorted by digest, densified one by one."""
+    x, y = [], []
+    for vector, label in sorted(pairs, key=lambda pair: _row_digest(*pair)):
+        x.append([int(j in vector.indices) for j in range(n_features)])
+        y.append(int(label is Label.ON_HOLD))
+    return x, y
+
+
+N_FEATURES = 6
+
+labeled_rows = st.lists(
+    st.tuples(
+        st.sets(st.integers(0, N_FEATURES - 1)).map(lambda s: FeatureVector(tuple(sorted(s)))),
+        st.sampled_from([Label.ON_HOLD, Label.CROSS_REFERENCE]),
+    ),
+    max_size=30,
+)
 
 
 def dataset_from(pairs, n_features):
@@ -92,11 +122,38 @@ class TestDataset:
         with pytest.raises(ValueError):
             make_dataset([fv(0)], [], n_features=1)
 
+    @given(labeled_rows)
+    def test_arrays_are_the_digest_sorted_rows(self, pairs):
+        ds = make_dataset([v for v, _ in pairs], [label for _, label in pairs], N_FEATURES)
+        x, y = reference_arrays(pairs, N_FEATURES)
+        assert ds.x.tolist() == x
+        assert ds.y.tolist() == y
+        assert ds.rows == tuple(pairs)
+
+    @given(labeled_rows, st.data())
+    def test_a_positional_slice_is_the_dataset_of_its_rows(self, pairs, data):
+        ds = make_dataset([v for v, _ in pairs], [label for _, label in pairs], N_FEATURES)
+        positions = data.draw(st.sets(st.integers(0, max(len(ds) - 1, 0))))
+        positions = sorted(p for p in positions if p < len(ds))
+        kept = [pairs[ds.order[p]] for p in sorted(positions, key=lambda p: ds.order[p])]
+        rebuilt = make_dataset([v for v, _ in kept], [label for _, label in kept], N_FEATURES)
+        sliced = ds.subset(positions[::-1])
+        assert sliced.x.tolist() == rebuilt.x.tolist()
+        assert sliced.y.tolist() == rebuilt.y.tolist()
+        assert sliced.rows == tuple(kept)
+
+    def test_arrays_are_read_only(self):
+        for array in (SEPARABLE.x, SEPARABLE.y, SEPARABLE.order, SEPARABLE.subset([0, 3]).x):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
     def test_to_arrays_layout(self):
         ds = dataset_from([((0, 2), ON), ((), CROSS)], n_features=3)
         rows = {(1, 0, 1, 1), (0, 0, 0, 0)}
         assert {(*r, label) for r, label in zip(ds.x.tolist(), ds.y.tolist())} == rows
-        reversed_ds = Dataset(tuple(reversed(ds.rows)), ds.n_features)
+        reversed_ds = dataset_from(
+            [(v.indices, label) for v, label in reversed(ds.rows)], ds.n_features
+        )
         assert reversed_ds.x.tolist() == ds.x.tolist()
         assert reversed_ds.y.tolist() == ds.y.tolist()
 
@@ -181,7 +238,7 @@ class TestTrainValidation:
 
 
 class TestDeterminism:
-    PROBES = [fv(), fv(0), fv(1), fv(0, 1)]
+    PROBES = feature_matrix([fv(), fv(0), fv(1), fv(0, 1)], 2)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_same_seed_same_predictions(self, algorithm):
@@ -193,8 +250,9 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_row_order_does_not_matter(self, algorithm):
-        rows = list(XOR.rows)
-        shuffled = Dataset(tuple(reversed(rows)), XOR.n_features)
+        shuffled = dataset_from(
+            [(v.indices, label) for v, label in reversed(XOR.rows)], XOR.n_features
+        )
         a = train(XOR, algorithm, seed=3)
         b = train(shuffled, algorithm, seed=3)
         assert predict_proba_batch(a, self.PROBES).tolist() == (
@@ -204,12 +262,30 @@ class TestDeterminism:
 
 class TestPersistence:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @settings(max_examples=20, deadline=None)
+    @given(pairs=labeled_rows, probes=st.lists(st.sets(st.integers(0, N_FEATURES - 1))))
+    def test_saved_model_scores_like_the_fitted_one(
+        self, algorithm, pairs, probes, tmp_path_factory
+    ):
+        labels = [label for _, label in pairs]
+        assume(len(set(labels)) == 2)
+        ds = make_dataset([v for v, _ in pairs], labels, N_FEATURES)
+        forest = algorithm in ("ExtraTrees", "RandomForest")
+        model = train(ds, algorithm, {"n_trees": 5} if forest else None, seed=11)
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        x = feature_matrix([FeatureVector(tuple(sorted(p))) for p in probes], N_FEATURES)
+        assert predict_proba_batch(load_model(path), x).tolist() == (
+            predict_proba_batch(model, x).tolist()
+        )
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_round_trip_preserves_predictions(self, algorithm, tmp_path):
         model = train(XOR, algorithm, seed=5)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        probes = [fv(), fv(0), fv(1), fv(0, 1)]
+        probes = feature_matrix([fv(), fv(0), fv(1), fv(0, 1)], 2)
         assert predict_proba_batch(loaded, probes).tolist() == (
             predict_proba_batch(model, probes).tolist()
         )
@@ -329,7 +405,9 @@ class TestSmote:
 
     def test_minority_row_order_does_not_matter(self):
         rows = list(self.IMBALANCED.rows)
-        shuffled = Dataset(tuple(reversed(rows)), self.IMBALANCED.n_features)
+        shuffled = dataset_from(
+            [(v.indices, label) for v, label in reversed(rows)], self.IMBALANCED.n_features
+        )
         a = smote_oversample(self.IMBALANCED, seed=4)
         b = smote_oversample(shuffled, seed=4)
         a_synth = sorted(v.indices for v, _ in a.rows[len(rows):])
@@ -393,8 +471,9 @@ class TestSelectModel:
         fitted = set()
         for shuffle in range(6):
             random.Random(shuffle).shuffle(rows)
-            model = select_model(Dataset(tuple(rows), len(vocab)), candidate_grid=grid)
-            scores = predict_proba_batch(model, probes)
+            dataset = make_dataset([v for v, _ in rows], [label for _, label in rows], len(vocab))
+            model = select_model(dataset, candidate_grid=grid)
+            scores = predict_proba_batch(model, feature_matrix(probes, len(vocab)))
             fitted.add((model.algorithm, json.dumps(model.hyperparameters, sort_keys=True),
                         tuple(scores.tolist())))
         assert len(fitted) == 1

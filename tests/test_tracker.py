@@ -23,6 +23,7 @@ from onhold.errors import (
 from onhold.issues import TrackerKind
 from onhold.javalex import CommentBlock
 from onhold.miner import CommentLifecycle
+from onhold.timestamps import format_timestamp
 from onhold.tracker import (
     FixtureTransport,
     IssueGateway,
@@ -382,14 +383,38 @@ class TestGatewayCaching:
         reopened.fetch("HADOOP-6223")
         assert transport.calls == 1
 
-    def test_corrupt_cache_entry_refetches(self, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        (cache / "jira_HADOOP-6223.json").write_text("not json", encoding="utf-8")
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "not json",
+            "[]",
+            json.dumps({"fetched_at": format_timestamp(datetime.now(UTC))}),
+            json.dumps({"tracker": "jira", "key": "HADOOP-6223", "status": 5,
+                        "fetched_at": format_timestamp(datetime.now(UTC))}),
+        ],
+        ids=["not-json", "list", "no-tracker", "status-not-a-string"],
+    )
+    def test_corrupt_cache_entry_refetches(self, entry, tmp_path):
         transport = CountingTransport(FixtureTransport(FIXTURE_DIR))
-        gateway = IssueGateway(fixture_config(cache_dir=cache), transport)
+        gateway = IssueGateway(fixture_config(cache_dir=tmp_path), transport)
+        gateway._cache_path("HADOOP-6223").write_text(entry, encoding="utf-8")
         assert gateway.fetch("HADOOP-6223").raw_status == "Resolved"
         assert transport.calls == 1
+
+    def test_warm_run_leaves_only_cache_entries(self, tmp_path):
+        cache = tmp_path / "cache"
+        keys = [f"HADOOP-{i}" for i in range(12)]
+        cold = IssueGateway(
+            fixture_config(cache_dir=cache), ScriptedTransport([(200, JIRA_OK)] * len(keys))
+        )
+        assert all(cold.fetch_many(keys).values())
+        warm_transport = ScriptedTransport([])
+        warm = IssueGateway(fixture_config(cache_dir=cache), warm_transport)
+        assert all(warm.fetch_many(keys).values())
+        assert warm_transport.calls == 0
+        assert sorted(path.name for path in cache.iterdir()) == sorted(
+            warm._cache_path(key).name for key in keys
+        )
 
 
 def lifecycle(
