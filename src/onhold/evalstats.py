@@ -18,7 +18,7 @@ from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from . import learn
+from . import datasetio, learn
 from .learn import Dataset, Label
 from . import ngrams
 from .errors import DataFormatError
@@ -27,14 +27,12 @@ T = TypeVar("T")
 
 PERCENTILES = (0, 10, 25, 50, 75, 90, 100)
 
+# |d| below each bound is negligible, small, medium; at or above the last, large.
+DELTA_THRESHOLDS = (0.10, 0.33, 0.474)
+
 
 class DegenerateMetricWarning(UserWarning):
     """A metric denominator was zero and the value was reported as 0."""
-
-
-@dataclass(frozen=True)
-class StatsConfig:
-    delta_thresholds: tuple[float, float, float] = (0.10, 0.33, 0.474)
 
 
 @dataclass(frozen=True)
@@ -258,17 +256,14 @@ def holm_correct(pvalues: Sequence[float]) -> list[float]:
     return adjusted
 
 
-def cliffs_delta(
-    xs: Sequence[float], ys: Sequence[float],
-    config: StatsConfig = StatsConfig(),
-) -> tuple[float, str]:
+def cliffs_delta(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, str]:
     """Cliff's d over all pairs and its conventional magnitude bucket."""
     if not xs or not ys:
         raise ValueError("cliffs_delta needs two non-empty samples")
     # greater - lesser pairs = 2U - nm, since ties count once in 2U.
     pairs = len(xs) * len(ys)
     d = (_double_u(xs, ys) - pairs) / pairs
-    small, medium, large = config.delta_thresholds
+    small, medium, large = DELTA_THRESHOLDS
     size = abs(d)
     if size < small:
         magnitude = "negligible"
@@ -511,7 +506,6 @@ def compare_folds(
     a: FoldScores,
     b: FoldScores,
     metrics: Sequence[str] = _METRICS,
-    config: StatsConfig = StatsConfig(),
 ) -> list[ComparisonResult]:
     """Unpaired Mann-Whitney per metric with Holm correction across them."""
     raw = []
@@ -519,7 +513,7 @@ def compare_folds(
     for metric in metrics:
         xs, ys = a.series(metric), b.series(metric)
         _, p = mann_whitney(xs, ys)
-        d, magnitude = cliffs_delta(xs, ys, config)
+        d, magnitude = cliffs_delta(xs, ys)
         raw.append(p)
         deltas.append((d, magnitude))
     adjusted = holm_correct(raw)
@@ -531,22 +525,22 @@ def compare_folds(
 
 
 def results_tsv(results: Mapping[str, FoldScores]) -> str:
-    lines = ["variant\tfold\tprecision\trecall\tf1\tauc"]
-    for variant in results:
-        scores = results[variant]
-        for fold in range(scores.k):
-            lines.append(
-                f"{variant}\t{fold}\t{scores.precision[fold]!r}"
-                f"\t{scores.recall[fold]!r}\t{scores.f1[fold]!r}\t{scores.auc[fold]!r}"
-            )
-    return "\n".join(lines) + "\n"
+    return datasetio.format_table(
+        ("variant", "fold", *_METRICS),
+        (
+            [variant, str(fold), *(repr(scores.series(metric)[fold]) for metric in _METRICS)]
+            for variant, scores in results.items()
+            for fold in range(scores.k)
+        ),
+    )
 
 
 def comparisons_tsv(comparisons: Sequence[ComparisonResult]) -> str:
-    lines = ["pair\tmetric\tp\tadjusted_p\tcliffs_delta\tmagnitude"]
-    for c in comparisons:
-        lines.append(
-            f"{c.pair}\t{c.metric}\t{c.p_value!r}\t{c.adjusted_p!r}"
-            f"\t{c.cliffs_delta!r}\t{c.magnitude}"
-        )
-    return "\n".join(lines) + "\n"
+    return datasetio.format_table(
+        ("pair", "metric", "p", "adjusted_p", "cliffs_delta", "magnitude"),
+        (
+            [c.pair, c.metric, repr(c.p_value), repr(c.adjusted_p), repr(c.cliffs_delta),
+             c.magnitude]
+            for c in comparisons
+        ),
+    )

@@ -1,30 +1,33 @@
 """Render issue-check recommendations as markdown or JSON documents.
 
+A ``tracker.Recommendation`` is one finding of ``data/report.schema.json``,
+so the JSON form copies its fields and ``recommendations_from_payload``
+reads a ``check`` JSON back after validating it against that schema.
 The markdown form is meant for humans: one section per checked comment
 with its location, text, referenced issue, status evidence, and the
-suggested action.  The JSON form is a stable machine schema (described
-by ``data/report.schema.json``) with an explicit schema-version field.
-Neither form embeds a generation timestamp, so identical inputs always
-produce identical documents.
+suggested action.  Neither form embeds a generation timestamp, so
+identical inputs always produce identical documents.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 from typing import Any, Sequence
 
 from .errors import DataFormatError
-from .issues import TrackerKind
-from .javalex import CommentBlock, as_raw_comment
-from .miner import CommentLifecycle
-from .timestamps import format_timestamp, parse_timestamp
-from .tracker import IssueRecord, Recommendation
+from .timestamps import parse_timestamp
+from .tracker import Recommendation
 
 
 SCHEMA_VERSION = 1
 
 REPORT_FORMATS = ("markdown", "json")
+
+# JSON types as json.loads builds them; exact, so a bool is not an integer.
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+               "boolean": bool, "null": type(None)}
 
 
 def load_report_schema() -> dict[str, Any]:
@@ -37,47 +40,46 @@ def load_report_schema() -> dict[str, Any]:
     return json.loads(text)
 
 
-def _finding(rec: Recommendation) -> dict[str, Any]:
-    block = rec.lifecycle.block
-    record = rec.record
-    resolved = (
-        format_timestamp(record.resolved_date)
-        if record.resolved_date is not None
-        else None
-    )
-    return {
-        "file_path": block.file_path,
-        "start_line": block.start_line,
-        "end_line": block.end_line,
-        "comment_text": block.normalized_text,
-        "issue_key": record.key,
-        "tracker": record.tracker.value,
-        "issue_status": record.raw_status,
-        "issue_resolution": record.raw_resolution,
-        "issue_resolved_date": resolved,
-        "introduced_commit": rec.lifecycle.introduced_commit,
-        "introduced_date": format_timestamp(rec.lifecycle.introduced_date),
-        "ready": rec.ready,
-        "evidence": rec.evidence,
-        "suggested_action": _suggested_action(rec),
-        "draft_report": rec.draft_report or None,
-    }
+_schema = functools.cache(load_report_schema)
 
 
-def _suggested_action(rec: Recommendation) -> str:
-    if rec.ready:
-        return (
-            f"{rec.record.key} is resolved, so this comment is "
-            "ready to be removed along with any workaround it guards."
-        )
-    return (
-        f"keep: {rec.record.key} is still pending "
-        f"({rec.evidence})."
-    )
+def _validate(value: Any, rule: dict[str, Any], where: str) -> None:
+    """Raise DataFormatError unless ``value`` meets ``rule`` of the report schema.
+
+    Covers the keywords the schema uses: ``$ref`` into ``definitions``,
+    ``type``, ``const``, ``enum``, ``minimum``, ``minLength``,
+    ``required``, ``properties``, ``additionalProperties: false`` and
+    ``items``.
+    """
+    if "$ref" in rule:
+        rule = _schema()["definitions"][rule["$ref"].rsplit("/", 1)[-1]]
+    types = rule.get("type")
+    if types is not None:
+        allowed = [types] if isinstance(types, str) else types
+        if not any(type(value) is _JSON_TYPES[name] for name in allowed):
+            raise DataFormatError(f"malformed report: {where} must be {' or '.join(allowed)}")
+    if "const" in rule and value != rule["const"] or "enum" in rule and value not in rule["enum"]:
+        raise DataFormatError(f"malformed report: unsupported {where} {value!r}")
+    if "minimum" in rule and value < rule["minimum"]:
+        raise DataFormatError(f"malformed report: {where} is below {rule['minimum']}")
+    if "minLength" in rule and len(value) < rule["minLength"]:
+        raise DataFormatError(f"malformed report: {where} is empty")
+    if isinstance(value, dict):
+        properties = rule.get("properties", {})
+        for name in rule.get("required", ()):
+            if name not in value:
+                raise DataFormatError(f"malformed report: {where} lacks {name!r}")
+        for name, item in value.items():
+            if name not in properties and rule.get("additionalProperties") is False:
+                raise DataFormatError(f"malformed report: {where} has unknown key {name!r}")
+            _validate(item, properties.get(name, {}), f"{where}.{name}")
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            _validate(item, rule.get("items", {}), f"{where}[{index}]")
 
 
 def report_payload(recommendations: Sequence[Recommendation]) -> dict[str, Any]:
-    findings = [_finding(rec) for rec in recommendations]
+    findings = [dict(vars(rec)) for rec in recommendations]
     return {
         "schema_version": SCHEMA_VERSION,
         "total": len(findings),
@@ -87,74 +89,26 @@ def report_payload(recommendations: Sequence[Recommendation]) -> dict[str, Any]:
 
 
 def recommendations_from_payload(payload: Any) -> list[Recommendation]:
-    """Rebuild recommendation objects from a parsed JSON report.
+    """Read the recommendations back from a parsed ``check`` JSON.
 
-    Raises :class:`DataFormatError` for any payload of the wrong shape.
+    Raises :class:`DataFormatError` for any payload the report schema
+    rejects, for an unparsable date and for ``start_line > end_line``.
     """
-    if not isinstance(payload, dict):
-        raise DataFormatError("a report must be a JSON object")
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise DataFormatError(
-            f"unsupported report schema_version {version!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    findings = payload.get("findings", [])
-    if not isinstance(findings, list):
-        raise DataFormatError("report findings must be a JSON list")
+    _validate(payload, _schema(), "report")
     out: list[Recommendation] = []
-    for finding in findings:
-        if not isinstance(finding, dict):
-            raise DataFormatError(f"malformed report finding: {finding!r}")
+    for index, finding in enumerate(payload["findings"]):
         try:
-            introduced = parse_timestamp(finding["introduced_date"])
-            resolved_raw = finding.get("issue_resolved_date")
-            resolved = parse_timestamp(resolved_raw) if resolved_raw else None
-            block = CommentBlock(
-                file_path=finding["file_path"],
-                start_line=int(finding["start_line"]),
-                end_line=int(finding["end_line"]),
-                raw_text=as_raw_comment(finding["comment_text"]),
-                normalized_text=finding["comment_text"],
+            parse_timestamp(finding["introduced_date"])
+            if finding["issue_resolved_date"] is not None:
+                parse_timestamp(finding["issue_resolved_date"])
+        except ValueError as exc:
+            raise DataFormatError(f"malformed report finding {index}: {exc}") from exc
+        if finding["start_line"] > finding["end_line"]:
+            raise DataFormatError(
+                f"malformed report finding {index}: start_line > end_line"
             )
-            kind = TrackerKind(finding["tracker"])
-            lifecycle = CommentLifecycle(
-                block=block,
-                issue_key=finding["issue_key"],
-                tracker=kind,
-                introduced_commit=finding["introduced_commit"],
-                introduced_date=introduced,
-            )
-            record = IssueRecord(
-                tracker=kind,
-                key=finding["issue_key"],
-                raw_status=finding["issue_status"],
-                raw_resolution=finding.get("issue_resolution"),
-                resolved_date=resolved,
-                fetched_at=introduced,
-            )
-            ready = bool(finding["ready"])
-            evidence = finding.get("evidence", "")
-            draft_report = finding.get("draft_report") or ""
-            if not isinstance(evidence, str) or not isinstance(draft_report, str):
-                raise ValueError("evidence and draft_report must be strings")
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
-            raise DataFormatError(f"malformed report finding: {exc}") from exc
-        out.append(
-            Recommendation(
-                lifecycle=lifecycle,
-                record=record,
-                ready=ready,
-                evidence=evidence,
-                draft_report=draft_report,
-            )
-        )
+        out.append(Recommendation(**finding))
     return out
-
-
-def _render_json(recommendations: Sequence[Recommendation]) -> str:
-    payload = report_payload(recommendations)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _quote(text: str) -> str:
@@ -174,31 +128,22 @@ def _render_markdown(recommendations: Sequence[Recommendation]) -> str:
     )
     lines.append("")
     for rec in recommendations:
-        block = rec.lifecycle.block
-        record = rec.record
-        lines.append(f"## {block.file_path}:{block.start_line} ({record.key})")
-        lines.append("")
-        lines.append(
-            f"- Location: {block.file_path}, lines "
-            f"{block.start_line}-{block.end_line} "
-            f"(introduced in {rec.lifecycle.introduced_commit[:12]} on "
-            f"{format_timestamp(rec.lifecycle.introduced_date)})"
-        )
-        lines.append(f"- Referenced issue: {record.key} ({record.tracker.value})")
-        lines.append(f"- Issue state: {rec.evidence}")
-        lines.append(f"- Suggested action: {_suggested_action(rec)}")
-        lines.append("")
-        lines.append("Comment text:")
-        lines.append("")
-        lines.append(_quote(block.normalized_text))
-        lines.append("")
+        lines += [
+            f"## {rec.file_path}:{rec.start_line} ({rec.issue_key})",
+            "",
+            f"- Location: {rec.file_path}, lines {rec.start_line}-{rec.end_line} "
+            f"(introduced in {rec.introduced_commit[:12]} on {rec.introduced_date})",
+            f"- Referenced issue: {rec.issue_key} ({rec.tracker})",
+            f"- Issue state: {rec.evidence}",
+            f"- Suggested action: {rec.suggested_action}",
+            "",
+            "Comment text:",
+            "",
+            _quote(rec.comment_text),
+            "",
+        ]
         if rec.draft_report:
-            lines.append("Draft removal note:")
-            lines.append("")
-            lines.append("```")
-            lines.append(rec.draft_report.rstrip("\n"))
-            lines.append("```")
-            lines.append("")
+            lines += ["Draft removal note:", "", "```", rec.draft_report.rstrip("\n"), "```", ""]
     return "\n".join(lines)
 
 
@@ -208,7 +153,7 @@ def render_report(
     if format == "markdown":
         return _render_markdown(recommendations)
     if format == "json":
-        return _render_json(recommendations)
+        return json.dumps(report_payload(recommendations), indent=2, sort_keys=True) + "\n"
     raise ValueError(
         f"unknown report format {format!r}; expected one of {REPORT_FORMATS}"
     )

@@ -4,6 +4,11 @@ Network access sits behind a transport seam so the whole pipeline runs
 against recorded fixture files ({tracker}_{KEY}.json) with zero network
 traffic.  Auth tokens come only from the environment (ITS_GITHUB_TOKEN,
 ITS_JIRA_TOKEN, ITS_BUGZILLA_TOKEN), never from configuration files.
+
+A disk-cache entry is the tracker's own answer with its fetch time,
+``{"fetched_at": ..., "payload": ...}``, and a hit goes through the same
+parser as a fresh answer.  ``recommend`` turns each remaining comment
+into a ``Recommendation``: one finding of ``data/report.schema.json``.
 """
 
 from __future__ import annotations
@@ -37,6 +42,11 @@ log = logging.getLogger("onhold.tracker")
 READY_STATUSES = frozenset({"resolved", "closed", "verified"})
 READY_RESOLUTION = "fixed"
 
+CACHE_TTL_SECONDS = 24 * 3600
+MAX_RETRIES = 3
+TIMEOUT_SECONDS = 10.0
+CONCURRENCY = 4
+
 _TOKEN_ENV = {
     TrackerKind.GITHUB: "ITS_GITHUB_TOKEN",
     TrackerKind.JIRA: "ITS_JIRA_TOKEN",
@@ -65,10 +75,6 @@ class TrackerConfig:
     repo: str = ""           # GitHub owner/name
     fixture_dir: str | Path | None = None
     cache_dir: str | Path | None = None
-    cache_ttl_seconds: int = 24 * 3600
-    max_retries: int = 3
-    timeout_seconds: float = 10.0
-    concurrency: int = 4
 
     def __post_init__(self) -> None:
         if self.tracker is TrackerKind.GITHUB:
@@ -106,7 +112,7 @@ class HttpTransport:
             else:
                 headers["Authorization"] = f"Bearer {token}"
         response = requests.get(
-            _issue_url(config, key), headers=headers, timeout=config.timeout_seconds
+            _issue_url(config, key), headers=headers, timeout=TIMEOUT_SECONDS
         )
         try:
             payload = response.json()
@@ -133,30 +139,33 @@ class FixtureTransport:
 def _parse_payload(
     tracker: TrackerKind, key: str, payload: Mapping, fetched_at: datetime
 ) -> IssueRecord:
+    """The record in one decoded answer, fresh or cached; raises on a wrong shape."""
     resolved_date: datetime | None = None
     resolution: str | None = None
     if tracker is TrackerKind.BUGZILLA:
         bugs = payload.get("bugs") or [payload]
         bug = bugs[0] if bugs else {}
-        status = str(bug.get("status", ""))
+        status = bug.get("status", "")
         resolution = bug.get("resolution") or None
         stamp = bug.get("cf_last_resolved") or (
             bug.get("last_change_time") if resolution else None
         )
         resolved_date = parse_timestamp(stamp) if stamp else None
     elif tracker is TrackerKind.GITHUB:
-        status = str(payload.get("state", ""))
+        status = payload.get("state", "")
         stamp = payload.get("closed_at")
         resolved_date = parse_timestamp(stamp) if stamp else None
     else:
         fields = payload.get("fields", {})
-        status = str((fields.get("status") or {}).get("name", ""))
+        status = (fields.get("status") or {}).get("name", "")
         resolution_obj = fields.get("resolution")
         resolution = resolution_obj.get("name") if resolution_obj else None
         stamp = fields.get("resolutiondate")
         resolved_date = parse_timestamp(stamp) if stamp else None
-    if not status:
+    if not isinstance(status, str) or not status:
         raise TrackerError(f"{tracker.value} issue {key}: no status in response")
+    if not isinstance(resolution, (str, type(None))):
+        raise TrackerError(f"{tracker.value} issue {key}: resolution is not a string")
     return IssueRecord(
         tracker=tracker,
         key=key,
@@ -224,50 +233,26 @@ class IssueGateway:
         return Path(self.config.cache_dir) / f"{self.config.tracker.value}_{server}_{key}.json"
 
     def _read_disk(self, key: str) -> IssueRecord | None:
-        """The cached record, or None when it is missing, expired or malformed."""
+        """The cached record, or None when the entry is missing, expired or unparsable."""
         path = self._cache_path(key)
         if path is None or not path.exists():
             return None
         try:
             entry = json.loads(path.read_text(encoding="utf-8"))
-            fits = (
-                entry["tracker"] == self.config.tracker.value
-                and entry["key"] == key
-                and isinstance(entry["status"], str)
-                and isinstance(entry.get("resolution"), (str, type(None)))
-            )
-            resolved = entry.get("resolved_date")
-            record = IssueRecord(
-                tracker=self.config.tracker,
-                key=key,
-                raw_status=entry["status"],
-                raw_resolution=entry.get("resolution"),
-                resolved_date=parse_timestamp(resolved) if resolved else None,
-                fetched_at=parse_timestamp(entry["fetched_at"]),
-            )
-        except (ValueError, KeyError, TypeError, AttributeError):
+            fetched_at = parse_timestamp(entry["fetched_at"])
+            record = _parse_payload(self.config.tracker, key, entry["payload"], fetched_at)
+        except (ValueError, KeyError, TypeError, AttributeError, TrackerError):
             return None
-        age = (self._clock() - record.fetched_at).total_seconds()
-        if not fits or age > self.config.cache_ttl_seconds:
+        if (self._clock() - fetched_at).total_seconds() > CACHE_TTL_SECONDS:
             return None
         return record
 
-    def _write_disk(self, record: IssueRecord) -> None:
-        path = self._cache_path(record.key)
+    def _write_disk(self, key: str, payload: object, fetched_at: datetime) -> None:
+        path = self._cache_path(key)
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "tracker": record.tracker.value,
-            "key": record.key,
-            "status": record.raw_status,
-            "resolution": record.raw_resolution,
-            "resolved_date": (
-                format_timestamp(record.resolved_date)
-                if record.resolved_date else None
-            ),
-            "fetched_at": format_timestamp(record.fetched_at),
-        }
+        entry = {"fetched_at": format_timestamp(fetched_at), "payload": payload}
         # fetch_many writes from several threads: write a private temp
         # file, then rename it over the entry, so no reader sees half a file.
         fd, temp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
@@ -282,6 +267,7 @@ class IssueGateway:
     # -- fetching ---------------------------------------------------
 
     def _fetch_uncached(self, key: str) -> IssueRecord:
+        """Ask the transport, retrying rate limits and server errors; cache the answer."""
         env_var = _TOKEN_ENV[self.config.tracker]
         delay = 1.0
         attempts = 0
@@ -298,7 +284,7 @@ class IssueGateway:
                 )
             if status_code == 429 or status_code >= 500:
                 attempts += 1
-                if attempts > self.config.max_retries:
+                if attempts > MAX_RETRIES:
                     raise TrackerTemporaryError(
                         f"{self.config.tracker.value} issue {key}: "
                         f"HTTP {status_code} after {attempts} attempts"
@@ -310,17 +296,17 @@ class IssueGateway:
                 raise TrackerError(
                     f"{self.config.tracker.value} issue {key}: HTTP {status_code}"
                 )
-            return _parse_payload(self.config.tracker, key, payload, self._clock())
+            fetched_at = self._clock()
+            record = _parse_payload(self.config.tracker, key, payload, fetched_at)
+            self._write_disk(key, payload, fetched_at)
+            return record
 
     def fetch(self, key: str) -> IssueRecord:
         with self._lock:
             cached = self._memory.get(key)
         if cached is not None:
             return cached
-        record = self._read_disk(key)
-        if record is None:
-            record = self._fetch_uncached(key)
-            self._write_disk(record)
+        record = self._read_disk(key) or self._fetch_uncached(key)
         with self._lock:
             self._memory[key] = record
         return record
@@ -332,7 +318,6 @@ class IssueGateway:
         instead of being recorded as missing issues.
         """
         unique = list(dict.fromkeys(keys))
-        results: dict[str, IssueRecord | None] = {}
 
         def one(key: str) -> tuple[str, IssueRecord | None]:
             try:
@@ -344,39 +329,57 @@ class IssueGateway:
                 return key, None
 
         if not unique:
-            return results
-        workers = max(1, min(self.config.concurrency, len(unique)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for key, record in pool.map(one, unique):
-                results[key] = record
-        return results
+            return {}
+        with ThreadPoolExecutor(max_workers=min(CONCURRENCY, len(unique))) as pool:
+            return dict(pool.map(one, unique))
 
 
 @dataclass(frozen=True)
 class Recommendation:
-    lifecycle: CommentLifecycle
-    record: IssueRecord
+    """One checked comment: exactly a finding of ``data/report.schema.json``.
+
+    Timestamps are ``format_timestamp`` text, ``tracker`` is the tracker
+    kind's value, and ``draft_report`` is None unless ``ready``.
+    """
+
+    file_path: str
+    start_line: int
+    end_line: int
+    comment_text: str
+    issue_key: str
+    tracker: str
+    issue_status: str
+    issue_resolution: str | None
+    issue_resolved_date: str | None
+    introduced_commit: str
+    introduced_date: str
     ready: bool
     evidence: str
-    draft_report: str
+    suggested_action: str
+    draft_report: str | None
 
 
-def _evidence(record: IssueRecord) -> str:
+def _evidence(record: IssueRecord, resolved: str | None) -> str:
     parts = [f"status={record.raw_status}"]
     if record.tracker is not TrackerKind.GITHUB:
         parts.append(f"resolution={record.raw_resolution or 'none'}")
-    if record.resolved_date is not None:
-        parts.append(f"resolved_on={format_timestamp(record.resolved_date)}")
+    if resolved is not None:
+        parts.append(f"resolved_on={resolved}")
     return ", ".join(parts)
 
 
-def _draft_report(lifecycle: CommentLifecycle, record: IssueRecord) -> str:
+def _suggested_action(key: str, ready: bool, evidence: str) -> str:
+    if ready:
+        return (
+            f"{key} is resolved, so this comment is "
+            "ready to be removed along with any workaround it guards."
+        )
+    return f"keep: {key} is still pending ({evidence})."
+
+
+def _draft_report(lifecycle: CommentLifecycle, record: IssueRecord, resolved: str | None) -> str:
     block = lifecycle.block
     where = f"{block.file_path}, lines {block.start_line}-{block.end_line}"
-    resolved = (
-        f" on {format_timestamp(record.resolved_date)}"
-        if record.resolved_date else ""
-    )
     return (
         f"Remove obsolete on-hold comment referencing {record.key}\n"
         f"\n"
@@ -385,7 +388,8 @@ def _draft_report(lifecycle: CommentLifecycle, record: IssueRecord) -> str:
         f"\n"
         f"Location: {where} (introduced in {lifecycle.introduced_commit[:12]}).\n"
         f"Referenced issue {record.key} is now {record.raw_status}"
-        f"{'/' + record.raw_resolution if record.raw_resolution else ''}{resolved}.\n"
+        f"{'/' + record.raw_resolution if record.raw_resolution else ''}"
+        f"{' on ' + resolved if resolved else ''}.\n"
         f"The condition this comment was waiting on has been met, so the\n"
         f"comment and any workaround it guards can likely be removed.\n"
     )
@@ -412,14 +416,18 @@ def recommend(
                         lifecycle.issue_key, lifecycle.block.file_path,
                         lifecycle.block.start_line)
             continue
-        ready = is_ready_to_remove(record)
-        out.append(
-            Recommendation(
-                lifecycle=lifecycle,
-                record=record,
-                ready=ready,
-                evidence=_evidence(record),
-                draft_report=_draft_report(lifecycle, record) if ready else "",
-            )
-        )
+        block, ready = lifecycle.block, is_ready_to_remove(record)
+        resolved = format_timestamp(record.resolved_date) if record.resolved_date else None
+        evidence = _evidence(record, resolved)
+        out.append(Recommendation(
+            file_path=block.file_path, start_line=block.start_line, end_line=block.end_line,
+            comment_text=block.normalized_text, issue_key=record.key,
+            tracker=record.tracker.value, issue_status=record.raw_status,
+            issue_resolution=record.raw_resolution, issue_resolved_date=resolved,
+            introduced_commit=lifecycle.introduced_commit,
+            introduced_date=format_timestamp(lifecycle.introduced_date),
+            ready=ready, evidence=evidence,
+            suggested_action=_suggested_action(record.key, ready, evidence),
+            draft_report=_draft_report(lifecycle, record, resolved) if ready else None,
+        ))
     return out

@@ -547,6 +547,20 @@ class TestPipeline:
         assert "ready to be removed" in text
         assert "src/A.java" in text
 
+    def test_json_report_of_the_check_output_is_that_output(self, tmp_path):
+        source = self.check_input(tmp_path)
+        check_out = tmp_path / "check.json"
+        assert cli_main(
+            ["check", "--input", str(source), "--fixtures", str(FIXTURE_DIR),
+             "--out", str(check_out)]
+        ) == 0
+        report_out = tmp_path / "report.json"
+        assert cli_main(
+            ["report", "--input", str(check_out), "--format", "json",
+             "--out", str(report_out)]
+        ) == 0
+        assert report_out.read_bytes() == check_out.read_bytes()
+
 
 class TestEvaluate:
     def test_results_table_shape(self, dataset_path, tmp_path):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 from datetime import datetime, timezone
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onhold.errors import DataFormatError
 from onhold.issues import TrackerKind
@@ -20,7 +24,7 @@ from onhold.report import (
     render_report,
     report_payload,
 )
-from onhold.tracker import IssueRecord, Recommendation
+from onhold.tracker import IssueRecord, Recommendation, recommend
 
 UTC = timezone.utc
 
@@ -48,21 +52,8 @@ def make_recommendation(ready: bool = True, key: str = "HADOOP-6223") -> Recomme
         resolved_date=datetime(2010, 8, 17, 3, 4, 31, tzinfo=UTC) if ready else None,
         fetched_at=datetime(2024, 5, 1, tzinfo=UTC),
     )
-    evidence = (
-        "status=Resolved, resolution=Fixed, resolved_on=2010-08-17T03:04:31Z"
-        if ready
-        else "status=Open, resolution=none"
-    )
-    draft = (
-        f"issue {key} is resolved, comment can likely be removed" if ready else ""
-    )
-    return Recommendation(
-        lifecycle=lifecycle,
-        record=record,
-        ready=ready,
-        evidence=evidence,
-        draft_report=draft,
-    )
+    (rec,) = recommend([lifecycle], {(TrackerKind.JIRA, key): record})
+    return rec
 
 
 class TestMarkdown:
@@ -148,11 +139,12 @@ class TestPayloadRoundTrip:
     def test_rebuilt_objects_preserve_the_fields(self):
         payload = report_payload([make_recommendation(ready=True)])
         (rec,) = recommendations_from_payload(payload)
-        assert rec.record.key == "HADOOP-6223"
-        assert rec.record.tracker is TrackerKind.JIRA
+        assert rec == make_recommendation(ready=True)
+        assert rec.issue_key == "HADOOP-6223"
+        assert rec.tracker == "jira"
         assert rec.ready is True
-        assert rec.lifecycle.block.start_line == 118
-        assert rec.lifecycle.block.normalized_text.startswith("remove this hack")
+        assert rec.start_line == 118
+        assert rec.comment_text.startswith("remove this hack")
 
     def test_wrong_schema_version_is_rejected(self):
         payload = report_payload([])
@@ -175,3 +167,77 @@ class TestPayloadRoundTrip:
         payload["findings"][0][field] = value
         with pytest.raises(DataFormatError, match="malformed"):
             recommendations_from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("introduced_date", "yesterday"), ("issue_resolved_date", "2010-13-45T00:00:00Z"),
+         ("start_line", 120)],
+    )
+    def test_rejections_beyond_the_schema(self, field, value):
+        payload = report_payload([make_recommendation()])
+        payload["findings"][0][field] = value
+        jsonschema.validate(payload, load_report_schema())
+        with pytest.raises(DataFormatError, match="malformed"):
+            recommendations_from_payload(payload)
+
+    def test_recommendation_fields_are_the_schema_finding(self):
+        finding = load_report_schema()["definitions"]["finding"]
+        names = [field.name for field in dataclasses.fields(Recommendation)]
+        assert names == finding["required"] == list(finding["properties"])
+
+
+VALID = report_payload([make_recommendation(ready=True), make_recommendation(ready=False)])
+SCHEMA = load_report_schema()
+TOP_KEYS = list(SCHEMA["properties"])
+FINDING_KEYS = list(SCHEMA["definitions"]["finding"]["properties"])
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A valid report with one mutation that may or may not break the schema."""
+    payload = copy.deepcopy(VALID)
+    finding = payload["findings"][draw(st.sampled_from([0, 1]))]
+    target, keys = draw(st.sampled_from([(payload, TOP_KEYS), (finding, FINDING_KEYS)]))
+    mutation = draw(st.sampled_from(
+        ["drop", "add", "swap", "tracker", "issue_key", "start_line", "date"]
+    ))
+    if mutation == "drop":
+        del target[draw(st.sampled_from(keys))]
+    elif mutation == "add":
+        target[draw(st.text(max_size=8) | st.sampled_from(keys))] = draw(JSON_VALUES)
+    elif mutation == "swap":
+        target[draw(st.sampled_from(keys))] = draw(JSON_VALUES)
+    elif mutation == "tracker":
+        finding["tracker"] = draw(st.text(max_size=8) | st.sampled_from(["jira", "JIRA"]))
+    elif mutation == "issue_key":
+        finding["issue_key"] = ""
+    elif mutation == "start_line":
+        finding["start_line"] = draw(st.sampled_from([0, -1, True]))
+    else:
+        field = draw(st.sampled_from(["introduced_date", "issue_resolved_date"]))
+        finding[field] = draw(st.text(max_size=25) | st.none())
+    return payload
+
+
+class TestPayloadValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_payloads())
+    def test_every_payload_the_schema_rejects_is_rejected(self, payload):
+        try:
+            jsonschema.validate(payload, SCHEMA)
+        except jsonschema.ValidationError:
+            with pytest.raises(DataFormatError):
+                recommendations_from_payload(payload)
+            return
+        try:
+            recommendations = recommendations_from_payload(payload)
+        except DataFormatError:
+            return
+        assert report_payload(recommendations)["findings"] == payload["findings"]

@@ -19,7 +19,6 @@ from onhold.evalstats import (
     ComparisonResult,
     DegenerateMetricWarning,
     FoldScores,
-    StatsConfig,
     cliffs_delta,
     cohens_kappa,
     compare_folds,
@@ -474,7 +473,3 @@ class TestTsvRenderers:
     @staticmethod
     def make_b():
         return FoldScores("b", (0.5,), (0.5,), (0.5,), (0.5,))
-
-    def test_stats_config_defaults(self):
-        config = StatsConfig()
-        assert config.delta_thresholds == (0.10, 0.33, 0.474)

@@ -9,9 +9,12 @@ combination is written out with its expected verdict.
 from __future__ import annotations
 
 import json
+import tempfile
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onhold.errors import (
     ConfigError,
@@ -291,11 +294,11 @@ class TestFixtureTransport:
 
 
 class TestGatewayRetries:
-    def make_gateway(self, responses, **config_kwargs):
+    def make_gateway(self, responses):
         sleeps: list[float] = []
         transport = ScriptedTransport(responses)
         gateway = IssueGateway(
-            TrackerConfig(tracker=JIRA, base_url="https://x", **config_kwargs),
+            TrackerConfig(tracker=JIRA, base_url="https://x"),
             transport,
             sleep=sleeps.append,
         )
@@ -308,7 +311,7 @@ class TestGatewayRetries:
         assert sleeps == [1.0]
 
     def test_persistent_server_error_gives_up_with_backoff(self):
-        gateway, transport, sleeps = self.make_gateway([(500, {})] * 4, max_retries=3)
+        gateway, transport, sleeps = self.make_gateway([(500, {})] * 4)
         with pytest.raises(TrackerTemporaryError):
             gateway.fetch("HADOOP-1")
         assert transport.calls == 4
@@ -376,7 +379,7 @@ class TestGatewayCaching:
         later = datetime.now(UTC) + timedelta(days=2)
         transport = CountingTransport(FixtureTransport(FIXTURE_DIR))
         reopened = IssueGateway(
-            fixture_config(cache_dir=cache, cache_ttl_seconds=3600),
+            fixture_config(cache_dir=cache),
             transport,
             clock=lambda: later,
         )
@@ -391,8 +394,20 @@ class TestGatewayCaching:
             json.dumps({"fetched_at": format_timestamp(datetime.now(UTC))}),
             json.dumps({"tracker": "jira", "key": "HADOOP-6223", "status": 5,
                         "fetched_at": format_timestamp(datetime.now(UTC))}),
+            json.dumps({"tracker": "jira", "key": "HADOOP-6223", "status": "Open",
+                        "resolution": None, "resolved_date": None,
+                        "fetched_at": format_timestamp(datetime.now(UTC))}),
+            json.dumps({"fetched_at": format_timestamp(datetime.now(UTC)), "payload": []}),
+            json.dumps({"fetched_at": format_timestamp(datetime.now(UTC)),
+                        "payload": {"fields": {"status": {"name": 5}}}}),
+            json.dumps({"fetched_at": format_timestamp(datetime.now(UTC)),
+                        "payload": {"fields": {"status": {"name": "Open"},
+                                               "resolution": {"name": ["Fixed"]}}}}),
+            json.dumps({"fetched_at": 5, "payload": JIRA_OK}),
         ],
-        ids=["not-json", "list", "no-tracker", "status-not-a-string"],
+        ids=["not-json", "list", "no-tracker", "status-not-a-string", "old-format",
+             "payload-a-list", "payload-status-a-number", "payload-resolution-a-list",
+             "fetched-at-a-number"],
     )
     def test_corrupt_cache_entry_refetches(self, entry, tmp_path):
         transport = CountingTransport(FixtureTransport(FIXTURE_DIR))
@@ -400,6 +415,39 @@ class TestGatewayCaching:
         gateway._cache_path("HADOOP-6223").write_text(entry, encoding="utf-8")
         assert gateway.fetch("HADOOP-6223").raw_status == "Resolved"
         assert transport.calls == 1
+
+    def test_cache_entry_holds_the_answer_and_its_fetch_time(self, tmp_path):
+        gateway = IssueGateway(fixture_config(cache_dir=tmp_path), clock=lambda: NOW)
+        gateway.fetch("HADOOP-6223")
+        entry = json.loads(gateway._cache_path("HADOOP-6223").read_text(encoding="utf-8"))
+        recorded = json.loads((FIXTURE_DIR / "jira_HADOOP-6223.json").read_text(encoding="utf-8"))
+        assert entry == {"fetched_at": format_timestamp(NOW), "payload": recorded}
+
+    @pytest.mark.parametrize(
+        "kind,key,payload",
+        [
+            (JIRA, "HADOOP-6223", None),
+            (GITHUB, "3251", {"state": "closed", "closed_at": "2021-02-03T04:05:06Z"}),
+            (BUGZILLA, "34383", {"bugs": [{"status": "RESOLVED", "resolution": "FIXED",
+                                           "cf_last_resolved": "2019-03-04T05:06:07Z"}]}),
+        ],
+        ids=["jira", "github", "bugzilla"],
+    )
+    def test_cache_hit_equals_a_fresh_fetch(self, kind, key, payload, tmp_path):
+        fixtures = FIXTURE_DIR
+        if payload is not None:
+            fixtures = tmp_path / "fixtures"
+            fixtures.mkdir()
+            (fixtures / f"{kind.value}_{key}.json").write_text(json.dumps(payload),
+                                                               encoding="utf-8")
+        config = TrackerConfig(tracker=kind, fixture_dir=fixtures, cache_dir=tmp_path / "cache")
+        fresh = IssueGateway(config).fetch(key)
+        warm_transport = ScriptedTransport([])
+        cached = IssueGateway(config, warm_transport).fetch(key)
+        assert warm_transport.calls == 0
+        assert (cached.raw_status, cached.raw_resolution, cached.resolved_date) == (
+            fresh.raw_status, fresh.raw_resolution, fresh.resolved_date
+        )
 
     def test_warm_run_leaves_only_cache_entries(self, tmp_path):
         cache = tmp_path / "cache"
@@ -415,6 +463,60 @@ class TestGatewayCaching:
         assert sorted(path.name for path in cache.iterdir()) == sorted(
             warm._cache_path(key).name for key in keys
         )
+
+
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=12)
+)
+
+
+def json_values(keys: st.SearchStrategy[str]) -> st.SearchStrategy:
+    return st.recursive(
+        JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=4),
+        max_leaves=8,
+    )
+
+
+# Keys a Jira answer or a cache entry is read by, so that fuzzed entries
+# reach every branch of the parser instead of failing at the first lookup.
+ANSWER_KEYS = st.sampled_from(
+    ["fields", "status", "name", "resolution", "resolutiondate", "fetched_at", "payload"]
+) | st.text(max_size=6)
+
+
+class TestFuzzedCacheEntries:
+    """Whatever a cache file holds, ``fetch`` answers and never raises."""
+
+    def fetch_over(self, entry_text: str) -> tuple[IssueRecord, CountingTransport]:
+        with tempfile.TemporaryDirectory() as cache:
+            transport = CountingTransport(FixtureTransport(FIXTURE_DIR))
+            gateway = IssueGateway(fixture_config(cache_dir=cache), transport, clock=lambda: NOW)
+            gateway._cache_path("HADOOP-6223").write_text(entry_text, encoding="utf-8")
+            return gateway.fetch("HADOOP-6223"), transport
+
+    # Keys of at most six characters never spell "fetched_at" or "payload".
+    @settings(deadline=None)
+    @given(json_values(st.text(max_size=6)))
+    def test_arbitrary_json_is_a_miss(self, entry):
+        rec, transport = self.fetch_over(json.dumps(entry))
+        assert transport.calls == 1
+        assert rec.raw_status == "Resolved"
+
+    @settings(deadline=None)
+    @given(json_values(ANSWER_KEYS))
+    @example({"fields": {"status": {"name": "Open"}, "resolution": {"name": "Fixed"}}})
+    def test_a_fresh_entry_is_a_well_typed_hit_or_a_miss(self, payload):
+        entry = {"fetched_at": format_timestamp(NOW), "payload": payload}
+        rec, transport = self.fetch_over(json.dumps(entry))
+        if transport.calls == 1:
+            assert rec.raw_status == "Resolved"
+        else:
+            assert transport.calls == 0
+            assert isinstance(rec.raw_status, str) and rec.raw_status
+            assert isinstance(rec.raw_resolution, (str, type(None)))
+            recommend([lifecycle("remove after HADOOP-6223", "HADOOP-6223")],
+                      {(JIRA, "HADOOP-6223"): rec})
 
 
 def lifecycle(
@@ -464,7 +566,7 @@ class TestRecommend:
         lives = [lifecycle("waiting for HADOOP-2", "HADOOP-2")]
         (rec,) = recommend(lives, self.records())
         assert rec.ready is False
-        assert rec.draft_report == ""
+        assert rec.draft_report is None
         assert rec.evidence == "status=Open, resolution=none"
 
     def test_removed_comments_are_skipped(self):
