@@ -13,11 +13,11 @@ output files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
@@ -88,7 +88,7 @@ class _Parser(argparse.ArgumentParser):
 # project configuration
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ProjectConfig:
     """Per-project settings loaded from a JSON file.
 
@@ -104,9 +104,7 @@ class ProjectConfig:
     cache_dir: str = ""
 
 
-_CONFIG_KEYS = frozenset(
-    {"repo_path", "branch", "tracker", "project_key", "base_url", "cache_dir"}
-)
+_CONFIG_KEYS = frozenset(field.name for field in dataclasses.fields(ProjectConfig))
 _SECRET_HINTS = ("token", "secret", "password", "apikey", "api_key")
 
 
@@ -204,14 +202,6 @@ def _dataset_echo(source: str | Path, labels: Sequence[Label]) -> str:
     )
 
 
-def _require_column(
-    positions: dict[str, int], name: str, source: str
-) -> int:
-    if name not in positions:
-        raise DataFormatError(f"{source}: missing required columns: {name}")
-    return positions[name]
-
-
 # --------------------------------------------------------------------------
 # subcommand handlers
 
@@ -259,8 +249,8 @@ def _cmd_detect(args: argparse.Namespace) -> None:
     if not args.input:
         raise _UsageError("detect: --input is required (or use --dump-patterns)")
     header, numbered = datasetio.load_table(args.input)
-    positions = datasetio.column_positions(header)
-    text_at = _require_column(positions, "comment_text", str(args.input))
+    positions = datasetio.require_columns(header, ("comment_text",), str(args.input))
+    text_at = positions["comment_text"]
     out_rows: list[list[str]] = []
     for lineno, fields in numbered:
         file_path = fields[positions["file_path"]] if "file_path" in positions else ""
@@ -301,14 +291,12 @@ def _cmd_train(args: argparse.Namespace) -> None:
     tokens, labels = _prepare_vectors(args, rows)
     _info(_dataset_echo(args.dataset, labels))
     if args.bow:
-        vocab = ngrams.build_bow_vocabulary(tokens, source="training-bow")
+        vocab = ngrams.build_bow_vocabulary(tokens)
     else:
         positives = [
             tok for tok, label in zip(tokens, labels) if label is Label.ON_HOLD
         ]
-        vocab = ngrams.extract_terms(
-            positives, max_n=args.max_n, min_df=args.min_df, source="training"
-        )
+        vocab = ngrams.extract_terms(positives, max_n=args.max_n, min_df=args.min_df)
     if len(vocab) == 0:
         raise DataFormatError(
             "no vocabulary terms survived extraction; check labels and min-df"
@@ -330,7 +318,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> None:
-    vocab = ngrams.load_vocabulary(args.vocab, source=str(args.vocab))
+    vocab = ngrams.load_vocabulary(args.vocab)
     model = learn.load_model(args.model)
     digest = learn.vocabulary_digest(vocab)
     if model.vocabulary_hash and model.vocabulary_hash != digest:
@@ -340,8 +328,8 @@ def _cmd_classify(args: argparse.Namespace) -> None:
         )
     lemma_table = textprep.load_lemma_table(args.lemma_table)
     header, numbered = datasetio.load_table(args.input)
-    positions = datasetio.column_positions(header)
-    text_at = _require_column(positions, "comment_text", str(args.input))
+    positions = datasetio.require_columns(header, ("comment_text",), str(args.input))
+    text_at = positions["comment_text"]
     key_at = positions.get("issue_key")
     patterns = _patterns(
         args,
@@ -409,9 +397,9 @@ def _lifecycle_from_fields(
 def _cmd_check(args: argparse.Namespace) -> None:
     config = _load_config(args)
     header, numbered = datasetio.load_table(args.input)
-    positions = datasetio.column_positions(header)
-    _require_column(positions, "comment_text", str(args.input))
-    _require_column(positions, "issue_key", str(args.input))
+    positions = datasetio.require_columns(
+        header, ("comment_text", "issue_key"), str(args.input)
+    )
     pairs = _tracker_projects(args, config)
     default_kind = pairs[0][0] if pairs else None
     projects = dict(reversed(pairs))  # a tracker's first --project wins

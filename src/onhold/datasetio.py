@@ -227,9 +227,12 @@ def column_positions(header: Sequence[str]) -> dict[str, int]:
     return positions
 
 
-def _canonical_header(header: Sequence[str], source: str) -> dict[str, int]:
+def require_columns(
+    header: Sequence[str], names: Sequence[str], source: str
+) -> dict[str, int]:
+    """``column_positions`` of the header; DataFormatError naming any of ``names`` it lacks."""
     positions = column_positions(header)
-    missing = [name for name in REQUIRED_COLUMNS if name not in positions]
+    missing = [name for name in names if name not in positions]
     if missing:
         raise DataFormatError(
             f"{source}: missing required columns: {', '.join(missing)}"
@@ -287,7 +290,7 @@ def _parse_row(
 
 def parse_dataset(text: str, source: str = "<dataset>") -> list[DatasetRow]:
     header, numbered = parse_table(text, source=source)
-    positions = _canonical_header(header, source)
+    positions = require_columns(header, REQUIRED_COLUMNS, source)
     return [
         _parse_row(fields, positions, f"{source}:{lineno}")
         for lineno, fields in numbered

@@ -9,6 +9,7 @@ AUC is the rank-based estimator tied to the same U statistic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 import warnings
@@ -129,19 +130,21 @@ def compute_metrics(
     return precision, recall, f1
 
 
+def _tie_blocks(values: Sequence[float]) -> list[list[int]]:
+    """Positions of the values, sorted by value and grouped into runs of equal values."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    return [list(block) for _, block in itertools.groupby(order, key=lambda i: values[i])]
+
+
 def _doubled_midranks(values: Sequence[float]) -> list[int]:
     """Twice each value's 1-based rank; tied values share their mean rank."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = i + j + 2
-        for pos in range(i, j + 1):
-            ranks[order[pos]] = rank
-        i = j + 1
+    below = 0
+    for block in _tie_blocks(values):
+        # Twice the mean of ranks below+1 .. below+len(block).
+        for i in block:
+            ranks[i] = 2 * below + len(block) + 1
+        below += len(block)
     return ranks
 
 
@@ -173,15 +176,7 @@ def _exact_two_sided_p(xs: Sequence[float], ys: Sequence[float]) -> float:
     within a block contributes a known increment to 2U.
     """
     n, m = len(xs), len(ys)
-    pooled = sorted(list(xs) + list(ys))
-    blocks: list[int] = []
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and pooled[j + 1] == pooled[i]:
-            j += 1
-        blocks.append(j - i + 1)
-        i = j + 1
+    blocks = [len(block) for block in _tie_blocks(list(xs) + list(ys))]
 
     # state: (x slots used so far, accumulated 2U) -> assignment count.
     # Elements processed so far total a known amount, so the number of
@@ -223,12 +218,8 @@ def mann_whitney(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float
     if n + m <= 20:
         return u, _exact_two_sided_p(xs, ys)
 
-    pooled = list(xs) + list(ys)
     big_n = n + m
-    tie_counts: dict[float, int] = {}
-    for value in pooled:
-        tie_counts[value] = tie_counts.get(value, 0) + 1
-    tie_term = sum(t ** 3 - t for t in tie_counts.values())
+    tie_term = sum(len(b) ** 3 - len(b) for b in _tie_blocks(list(xs) + list(ys)))
     variance = n * m / 12.0 * ((big_n + 1) - tie_term / (big_n * (big_n - 1)))
     if variance <= 0.0:
         return u, 1.0
@@ -454,7 +445,7 @@ def evaluate_variants(
     whole_vocab = None
     if global_vocab:
         all_positive = [comments[i] for i in indices if labels[i] is Label.ON_HOLD]
-        whole_vocab = ngrams.extract_terms(all_positive, max_n=max_n, source="global")
+        whole_vocab = ngrams.extract_terms(all_positive, max_n=max_n)
 
     collected: dict[str, dict[str, list[float]]] = {
         v: {metric: [] for metric in _METRICS} for v in variants
@@ -467,17 +458,15 @@ def evaluate_variants(
         if whole_vocab is not None:
             vocab = whole_vocab
         else:
-            vocab = ngrams.extract_terms(positives, max_n=max_n,
-                                         source=f"fold-{fold_no}")
+            vocab = ngrams.extract_terms(positives, max_n=max_n)
         # Each feature space is vectorized once per fold and shared by
         # every variant that trains on it.
         prepared: dict[str, tuple[Dataset, Dataset]] = {}
         for variant in variants:
             features, smote, algorithm = _VARIANT_PLANS[variant]
             if features not in prepared:
-                current = vocab if features == "ngram" else ngrams.build_bow_vocabulary(
-                    train_comments, source=f"fold-{fold_no}-bow"
-                )
+                current = (vocab if features == "ngram"
+                           else ngrams.build_bow_vocabulary(train_comments))
                 if len(current) == 0:
                     raise ValueError(
                         f"fold {fold_no}: empty vocabulary; corpus too small for {variant}"

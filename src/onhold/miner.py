@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path, PurePosixPath
 from typing import Sequence
@@ -237,29 +237,6 @@ class GitCatFile:
         self.close()
 
 
-@dataclass
-class _OpenEpisode:
-    block: CommentBlock
-    issue_key: str
-    tracker: TrackerKind
-    introduced_commit: str
-    introduced_date: datetime
-    ambiguous: bool
-
-    def lifecycle(self, removed: HistoryEntry | None = None) -> CommentLifecycle:
-        """The finished lifecycle; a removal clock running backwards is clamped."""
-        return CommentLifecycle(
-            block=self.block,
-            issue_key=self.issue_key,
-            tracker=self.tracker,
-            introduced_commit=self.introduced_commit,
-            introduced_date=self.introduced_date,
-            removed_commit=removed.commit_id if removed else None,
-            removed_date=max(removed.timestamp, self.introduced_date) if removed else None,
-            ambiguous=self.ambiguous,
-        )
-
-
 def trace_lifecycles(
     repo_path: str | Path,
     history: Sequence[HistoryEntry],
@@ -277,8 +254,8 @@ def trace_lifecycles(
     clamped to the introduction timestamp.  Each comment's issue is the
     first reference detected in its text.
     """
-    # Open episodes per file path, keyed by normalized text.
-    active: dict[str, dict[str, _OpenEpisode]] = {}
+    # Open lifecycles per file path, keyed by normalized text.
+    active: dict[str, dict[str, CommentLifecycle]] = {}
     finished: list[CommentLifecycle] = []
 
     with GitCatFile(repo_path) as blobs:
@@ -301,14 +278,18 @@ def trace_lifecycles(
                     counts[key] = counts.get(key, 0) + 1
                     present.setdefault(key, (block, references[0]))
                 in_file = active.setdefault(change.path, {})
-                # Close episodes whose text vanished from this file.
+                # Close lifecycles whose text vanished from this file.
                 for key in [key for key in in_file if key not in present]:
-                    finished.append(in_file.pop(key).lifecycle(entry))
-                # Open episodes for newly appeared texts; refresh flags.
+                    lc = in_file.pop(key)
+                    finished.append(replace(
+                        lc, removed_commit=entry.commit_id,
+                        removed_date=max(entry.timestamp, lc.introduced_date),
+                    ))
+                # Open lifecycles for newly appeared texts; refresh flags.
                 for key, (block, reference) in present.items():
-                    episode = in_file.get(key)
-                    if episode is None:
-                        in_file[key] = _OpenEpisode(
+                    lc = in_file.get(key)
+                    if lc is None:
+                        in_file[key] = CommentLifecycle(
                             block=block,
                             issue_key=reference.key,
                             tracker=reference.tracker,
@@ -317,10 +298,10 @@ def trace_lifecycles(
                             ambiguous=counts[key] > 1,
                         )
                     elif counts[key] > 1:
-                        episode.ambiguous = True
+                        in_file[key] = replace(lc, ambiguous=True)
 
     for in_file in active.values():
-        finished.extend(episode.lifecycle() for episode in in_file.values())
+        finished.extend(in_file.values())
     finished.sort(
         key=lambda lc: (lc.introduced_date, lc.introduced_commit,
                         lc.block.file_path, lc.block.start_line, lc.text_key)

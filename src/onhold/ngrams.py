@@ -43,30 +43,22 @@ def enumerate_ngrams(comment: Sequence[str], max_n: int = MAX_NGRAM_LEN) -> set[
     return grams
 
 
-def _contains(doc: TokenTuple, term: TokenTuple) -> bool:
-    span = len(term)
-    return any(doc[i:i + span] == term for i in range(len(doc) - span + 1))
-
-
 class CorpusStats:
-    """Document-frequency table over a tokenized comment corpus."""
+    """Document-frequency table of every n-gram (n <= max_n) of a comment corpus."""
 
     def __init__(self, comments: Iterable[Sequence[str]], max_n: int = MAX_NGRAM_LEN):
-        self._documents = tuple(tuple(c) for c in comments)
-        self.n_documents = len(self._documents)
-        counts: Counter[TokenTuple] = Counter()
-        for doc in self._documents:
-            counts.update(enumerate_ngrams(doc, max_n))
-        self._df: dict[TokenTuple, int] = dict(counts)
+        self.max_n = max_n
+        self.n_documents = 0
+        self._df: Counter[TokenTuple] = Counter()
+        for comment in comments:
+            self.n_documents += 1
+            self._df.update(enumerate_ngrams(comment, max_n))
 
     def doc_freq(self, term: Sequence[str]) -> int:
         tokens = tuple(term)
-        df = self._df.get(tokens)
-        if df is None:
-            # Longer than the precomputed window; count by scanning.
-            df = sum(1 for doc in self._documents if _contains(doc, tokens))
-            self._df[tokens] = df
-        return df
+        if len(tokens) > self.max_n:
+            raise ValueError(f"term {tokens!r} is longer than max_n={self.max_n}")
+        return self._df[tokens]
 
     def known_terms(self) -> Iterator[TokenTuple]:
         return iter(self._df)
@@ -112,7 +104,6 @@ class NGramVocabulary:
     """Ordered, unique weighted terms extracted from one training fold."""
 
     terms: tuple[NGramTerm, ...]
-    source: str = ""
     _index: dict[TokenTuple, int] = field(init=False, repr=False, compare=False)
     max_len: int = field(init=False, repr=False, compare=False)
 
@@ -155,7 +146,6 @@ def extract_terms(
     positive_comments: Sequence[Sequence[str]],
     max_n: int = MAX_NGRAM_LEN,
     min_df: int = MIN_DOC_FREQ,
-    source: str = "",
 ) -> NGramVocabulary:
     """Mine the weighted term vocabulary from positive training comments.
 
@@ -175,16 +165,14 @@ def extract_terms(
         if weight > 0.0:
             terms.append(NGramTerm(tokens, df, weight))
     terms.sort(key=lambda t: (-t.weight, t.tokens))
-    return NGramVocabulary(tuple(terms), source)
+    return NGramVocabulary(tuple(terms))
 
 
 def build_bow_vocabulary(
-    all_comments: Sequence[Sequence[str]],
-    min_df: int = 1,
-    source: str = "",
+    all_comments: Sequence[Sequence[str]], min_df: int = 1
 ) -> NGramVocabulary:
     """Unigram vocabulary over all training comments (ablation baseline)."""
-    return extract_terms(all_comments, max_n=1, min_df=min_df, source=source)
+    return extract_terms(all_comments, max_n=1, min_df=min_df)
 
 
 def vectorize(comment: Sequence[str], vocab: NGramVocabulary) -> FeatureVector:
@@ -218,7 +206,7 @@ def parse_vocabulary(text: str, source: str = "") -> NGramVocabulary:
         except ValueError as exc:
             raise DataFormatError(f"{label}:{lineno}: {exc}") from exc
     try:
-        return NGramVocabulary(tuple(terms), source)
+        return NGramVocabulary(tuple(terms))
     except ValueError as exc:
         raise DataFormatError(f"{label}: {exc}") from exc
 
@@ -227,5 +215,6 @@ def save_vocabulary(vocab: NGramVocabulary, path: str | Path) -> None:
     Path(path).write_text(format_vocabulary(vocab), encoding="utf-8")
 
 
-def load_vocabulary(path: str | Path, source: str = "") -> NGramVocabulary:
-    return parse_vocabulary(Path(path).read_text(encoding="utf-8"), source)
+def load_vocabulary(path: str | Path) -> NGramVocabulary:
+    """Read a vocabulary TSV; parse errors name the path."""
+    return parse_vocabulary(Path(path).read_text(encoding="utf-8"), str(path))

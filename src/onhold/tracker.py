@@ -7,7 +7,9 @@ ITS_JIRA_TOKEN, ITS_BUGZILLA_TOKEN), never from configuration files.
 
 A disk-cache entry is the tracker's own answer with its fetch time,
 ``{"fetched_at": ..., "payload": ...}``, and a hit goes through the same
-parser as a fresh answer.  ``recommend`` turns each remaining comment
+parser as a fresh answer.  An answer of the wrong shape (not a JSON
+object, or a bad date) skips that issue with a warning, like a missing
+issue, and is not cached.  ``recommend`` turns each remaining comment
 into a ``Recommendation``: one finding of ``data/report.schema.json``.
 """
 
@@ -24,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
 from .errors import (
     ConfigError,
@@ -61,7 +63,6 @@ class IssueRecord:
     raw_status: str
     raw_resolution: str | None
     resolved_date: datetime | None
-    fetched_at: datetime
 
     def __post_init__(self) -> None:
         if not self.key:
@@ -136,32 +137,33 @@ class FixtureTransport:
         return status, payload
 
 
-def _parse_payload(
-    tracker: TrackerKind, key: str, payload: Mapping, fetched_at: datetime
-) -> IssueRecord:
-    """The record in one decoded answer, fresh or cached; raises on a wrong shape."""
-    resolved_date: datetime | None = None
+def _parse_payload(tracker: TrackerKind, key: str, payload: Any) -> IssueRecord:
+    """The record in one decoded answer, fresh or cached.
+
+    An answer of the wrong shape raises TrackerError naming the tracker and key.
+    """
     resolution: str | None = None
-    if tracker is TrackerKind.BUGZILLA:
-        bugs = payload.get("bugs") or [payload]
-        bug = bugs[0] if bugs else {}
-        status = bug.get("status", "")
-        resolution = bug.get("resolution") or None
-        stamp = bug.get("cf_last_resolved") or (
-            bug.get("last_change_time") if resolution else None
-        )
+    try:
+        if tracker is TrackerKind.BUGZILLA:
+            bugs = payload.get("bugs") or [payload]
+            bug = bugs[0] if bugs else {}
+            status = bug.get("status", "")
+            resolution = bug.get("resolution") or None
+            stamp = bug.get("cf_last_resolved") or (
+                bug.get("last_change_time") if resolution else None
+            )
+        elif tracker is TrackerKind.GITHUB:
+            status = payload.get("state", "")
+            stamp = payload.get("closed_at")
+        else:
+            fields = payload.get("fields", {})
+            status = (fields.get("status") or {}).get("name", "")
+            resolution_obj = fields.get("resolution")
+            resolution = resolution_obj.get("name") if resolution_obj else None
+            stamp = fields.get("resolutiondate")
         resolved_date = parse_timestamp(stamp) if stamp else None
-    elif tracker is TrackerKind.GITHUB:
-        status = payload.get("state", "")
-        stamp = payload.get("closed_at")
-        resolved_date = parse_timestamp(stamp) if stamp else None
-    else:
-        fields = payload.get("fields", {})
-        status = (fields.get("status") or {}).get("name", "")
-        resolution_obj = fields.get("resolution")
-        resolution = resolution_obj.get("name") if resolution_obj else None
-        stamp = fields.get("resolutiondate")
-        resolved_date = parse_timestamp(stamp) if stamp else None
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise TrackerError(f"{tracker.value} issue {key}: malformed response: {exc}") from exc
     if not isinstance(status, str) or not status:
         raise TrackerError(f"{tracker.value} issue {key}: no status in response")
     if not isinstance(resolution, (str, type(None))):
@@ -172,7 +174,6 @@ def _parse_payload(
         raw_status=status,
         raw_resolution=resolution,
         resolved_date=resolved_date,
-        fetched_at=fetched_at,
     )
 
 
@@ -240,7 +241,7 @@ class IssueGateway:
         try:
             entry = json.loads(path.read_text(encoding="utf-8"))
             fetched_at = parse_timestamp(entry["fetched_at"])
-            record = _parse_payload(self.config.tracker, key, entry["payload"], fetched_at)
+            record = _parse_payload(self.config.tracker, key, entry["payload"])
         except (ValueError, KeyError, TypeError, AttributeError, TrackerError):
             return None
         if (self._clock() - fetched_at).total_seconds() > CACHE_TTL_SECONDS:
@@ -296,9 +297,8 @@ class IssueGateway:
                 raise TrackerError(
                     f"{self.config.tracker.value} issue {key}: HTTP {status_code}"
                 )
-            fetched_at = self._clock()
-            record = _parse_payload(self.config.tracker, key, payload, fetched_at)
-            self._write_disk(key, payload, fetched_at)
+            record = _parse_payload(self.config.tracker, key, payload)
+            self._write_disk(key, payload, self._clock())
             return record
 
     def fetch(self, key: str) -> IssueRecord:

@@ -357,6 +357,58 @@ class TestPipeline:
         assert err.startswith(f"error: {table}:2: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["detect", "classify", "check"])
+    def test_input_without_comment_text_is_a_user_error(
+        self, dataset_path, tmp_path, capsys, command
+    ):
+        source = tmp_path / "no-text.tsv"
+        source.write_text(
+            datasetio.format_table(("issue_key", "label"), [["HADOOP-1", "OnHold"]]),
+            encoding="utf-8",
+        )
+        argv = [command, "--input", str(source), "--out", str(tmp_path / "out")]
+        if command == "classify":
+            model, vocab = self.train(dataset_path, tmp_path)
+            argv += ["--model", str(model), "--vocab", str(vocab)]
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {source}: missing required columns: comment_text\n"
+
+    @pytest.mark.parametrize(
+        "answer",
+        [[1], {"fields": {"status": {"name": "Resolved"}, "resolutiondate": "soon"}}],
+        ids=["not-an-object", "bad-date"],
+    )
+    def test_check_skips_an_issue_whose_answer_has_the_wrong_shape(
+        self, tmp_path, caplog, answer
+    ):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "jira_HADOOP-1.json").write_text(json.dumps(answer), encoding="utf-8")
+        (fixtures / "jira_HADOOP-6223.json").write_text(
+            (FIXTURE_DIR / "jira_HADOOP-6223.json").read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+        table = datasetio.format_table(
+            ("comment_text", "issue_key", "label"),
+            [["remove after HADOOP-1 is fixed", "HADOOP-1", "OnHold"],
+             ["remove after HADOOP-6223 is fixed", "HADOOP-6223", "OnHold"]],
+        )
+        source = tmp_path / "comments.tsv"
+        source.write_text(table, encoding="utf-8")
+        out = tmp_path / "check.json"
+        code = cli_main(
+            ["check", "--input", str(source), "--fixtures", str(fixtures),
+             "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]
+        )
+        assert code == 0
+        findings = json.loads(out.read_text(encoding="utf-8"))["findings"]
+        assert [f["issue_key"] for f in findings] == ["HADOOP-6223"]
+        assert "skipping issue HADOOP-1: jira issue HADOOP-1: malformed response" in caplog.text
+        assert [path.name.endswith("_HADOOP-6223.json")
+                for path in (tmp_path / "cache").iterdir()] == [True]
+
     def check_input(self, tmp_path) -> Path:
         table = datasetio.format_table(
             ("comment_text", "file_path", "line_number", "issue_key", "label",

@@ -279,6 +279,24 @@ class TestTraceLifecycles:
         (life,) = self.mine(git_sandbox, jira_patterns)
         assert life.ambiguous is True
 
+    def test_text_duplicated_later_stays_one_ambiguous_lifecycle(
+        self, git_sandbox, jira_patterns
+    ):
+        comment = "    // see HADOOP-7 for context\n"
+        git_sandbox.write("A.java", "public class A {\n" + comment + "    int x;\n}\n")
+        c1 = git_sandbox.commit("add")
+        git_sandbox.write(
+            "A.java", "public class A {\n" + comment + "    int x;\n" + comment + "}\n"
+        )
+        git_sandbox.commit("duplicate")
+        git_sandbox.write("A.java", PLAIN_JAVA)
+        c3 = git_sandbox.commit("remove both")
+
+        (life,) = self.mine(git_sandbox, jira_patterns)
+        assert life.ambiguous is True
+        assert (life.introduced_commit, life.removed_commit) == (c1, c3)
+        assert life.block.start_line == 2
+
     def test_readded_comment_starts_a_fresh_lifecycle(self, git_sandbox, jira_patterns):
         git_sandbox.write("A.java", ON_HOLD_JAVA)
         c1 = git_sandbox.commit("add")

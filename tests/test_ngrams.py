@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -82,6 +83,11 @@ class TestWeightTerm:
     def test_unseen_term_is_rejected(self):
         with pytest.raises(ValueError):
             weight_term(["zz"], CorpusStats(CORPUS))
+
+
+    def test_term_longer_than_max_n_is_rejected(self):
+        with pytest.raises(ValueError, match="longer than max_n=1"):
+            CorpusStats(CORPUS, max_n=1).doc_freq(["a", "b"])
 
 
 class TestExtractTerms:
@@ -235,3 +241,11 @@ class TestVocabularyRoundTrip:
         path = tmp_path / "vocab.tsv"
         save_vocabulary(vocab, path)
         assert load_vocabulary(path) == vocab
+
+    def test_load_error_names_the_path(self, tmp_path):
+        from onhold.ngrams import load_vocabulary
+
+        path = tmp_path / "vocab.tsv"
+        path.write_text("a\t2\t1.0\nbroken line\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2: "):
+            load_vocabulary(path)

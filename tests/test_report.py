@@ -50,7 +50,6 @@ def make_recommendation(ready: bool = True, key: str = "HADOOP-6223") -> Recomme
         raw_status="Resolved" if ready else "Open",
         raw_resolution="Fixed" if ready else None,
         resolved_date=datetime(2010, 8, 17, 3, 4, 31, tzinfo=UTC) if ready else None,
-        fetched_at=datetime(2024, 5, 1, tzinfo=UTC),
     )
     (rec,) = recommend([lifecycle], {(TrackerKind.JIRA, key): record})
     return rec

@@ -50,7 +50,6 @@ def record(tracker: TrackerKind, status: str, resolution: str | None) -> IssueRe
         raw_status=status,
         raw_resolution=resolution,
         resolved_date=None,
-        fetched_at=NOW,
     )
 
 
@@ -110,7 +109,7 @@ class TestReadyToRemove:
 
     def test_record_requires_a_key(self):
         with pytest.raises(ValueError):
-            IssueRecord(JIRA, "", "Open", None, None, NOW)
+            IssueRecord(JIRA, "", "Open", None, None)
 
 
 class CountingTransport:
@@ -350,6 +349,25 @@ class TestGatewayCaching:
         assert results["HADOOP-6223"] is not None
         assert results["HADOOP-404404"] is None
 
+    @pytest.mark.parametrize(
+        "answer",
+        [[1], {"fields": {"status": {"name": "Resolved"}, "resolutiondate": "soon"}}],
+        ids=["not-an-object", "bad-date"],
+    )
+    def test_fetch_many_skips_a_wrong_shaped_answer_uncached(self, answer, tmp_path):
+        fixtures, cache = tmp_path / "fixtures", tmp_path / "cache"
+        fixtures.mkdir()
+        (fixtures / "jira_HADOOP-1.json").write_text(json.dumps(answer), encoding="utf-8")
+        (fixtures / "jira_HADOOP-2.json").write_text(json.dumps(JIRA_OK), encoding="utf-8")
+        gateway = IssueGateway(
+            TrackerConfig(tracker=JIRA, fixture_dir=fixtures, cache_dir=cache)
+        )
+        results = gateway.fetch_many(["HADOOP-1", "HADOOP-2"])
+        assert results["HADOOP-1"] is None
+        assert results["HADOOP-2"].raw_status == "Resolved"
+        assert not gateway._cache_path("HADOOP-1").exists()
+        assert gateway._cache_path("HADOOP-2").exists()
+
     def test_fetch_many_propagates_auth_errors(self, tmp_path):
         path = tmp_path / "jira_HADOOP-1.json"
         path.write_text(json.dumps({"_http_status": 401}), encoding="utf-8")
@@ -549,8 +567,8 @@ class TestRecommend:
     def records(self):
         return {
             (JIRA, "HADOOP-1"): IssueRecord(JIRA, "HADOOP-1", "Resolved", "Fixed",
-                                            datetime(2021, 3, 1, tzinfo=UTC), NOW),
-            (JIRA, "HADOOP-2"): IssueRecord(JIRA, "HADOOP-2", "Open", None, None, NOW),
+                                            datetime(2021, 3, 1, tzinfo=UTC)),
+            (JIRA, "HADOOP-2"): IssueRecord(JIRA, "HADOOP-2", "Open", None, None),
         }
 
     def test_ready_comment_gets_a_draft(self):
@@ -579,7 +597,7 @@ class TestRecommend:
 
     def test_github_evidence_omits_the_resolution(self):
         records = {(GITHUB, "9"): IssueRecord(GITHUB, "9", "closed", None,
-                                              datetime(2021, 3, 1, tzinfo=UTC), NOW)}
+                                              datetime(2021, 3, 1, tzinfo=UTC))}
         lives = [lifecycle("closes issue 9", "9", tracker=GITHUB)]
         (rec,) = recommend(lives, records)
         assert rec.evidence == "status=closed, resolved_on=2021-03-01T00:00:00Z"
@@ -587,7 +605,7 @@ class TestRecommend:
 
     def test_records_are_looked_up_by_tracker_and_key(self):
         lives = [lifecycle("fixed by bug 9", "9", tracker=BUGZILLA)]
-        records = {(GITHUB, "9"): IssueRecord(GITHUB, "9", "closed", None, None, NOW)}
+        records = {(GITHUB, "9"): IssueRecord(GITHUB, "9", "closed", None, None)}
         assert recommend(lives, records) == []
 
     def test_recommendation_is_a_frozen_record(self):
