@@ -336,6 +336,63 @@ class TestPersistence:
         assert load_model(path).vocabulary_hash == vocabulary_digest(vocab)
 
 
+def noisy_forest_dataset():
+    """320 sparse rows over 250 features with 12 % of the labels flipped.
+
+    The flipped labels make the trees grow deep, and at 4 % density most
+    small nodes see only constant columns among their sqrt(F) sampled
+    features, so the full-scan fallback runs often.
+    """
+    rng = np.random.default_rng(20240905)
+    x = (rng.random((320, 250)) < 0.04).astype(np.uint8)
+    y = x[:, 0] | (x[:, 1] & x[:, 2]) | x[:, 3] | x[:, 4]
+    y ^= (rng.random(320) < 0.12).astype(np.uint8)
+    queries = (rng.random((90, 250)) < 0.04).astype(np.uint8)
+    vectors = [FeatureVector(tuple(np.flatnonzero(row).tolist())) for row in x]
+    ds = make_dataset(vectors, [ON if v else CROSS for v in y], 250)
+    return ds, np.vstack([ds.x, queries])
+
+
+class TestForestGolden:
+    """sha256 of the saved model and of its scores, for each forest grid candidate.
+
+    The digests were recorded with the per-node numpy tree grower; any
+    change to the random calls, the split rule or the gini arithmetic
+    changes them.
+    """
+
+    GOLDEN = {
+        ("ExtraTrees", None): (
+            "6c34354054457f725cde1782e5a47bdde192c3f5cde9d66289bb16885f34fffe",
+            "fdca49848c690f12b87515e7d5007a695c51e7654c3efde9d68e7a6b2cf06087",
+        ),
+        ("ExtraTrees", 10): (
+            "0288ec1f2c549c3b5a3e68acf15817d622eebce5430d43b9b1cc96d1b7160697",
+            "b331a75b116961b1e86f5004c3f6e76ee218199a365812c9714ba1ce2e5b5a5f",
+        ),
+        ("RandomForest", None): (
+            "6757deb1350b845319fd907c5d26c6ff469983889c71788f88287884d628a6b5",
+            "5bb76136cf11ee6f23eb1a57fa8f9562500d419beacd03436d03679693a847eb",
+        ),
+        ("RandomForest", 10): (
+            "9738e180a5f8b11289c2e92e0ce843229e67da2c812281ccef191e5a2b8d4713",
+            "c9a9cf08b77c6ee1821ac96a9a466069ede6f755f869d6b2112e366158a22148",
+        ),
+    }
+
+    @pytest.mark.parametrize("algorithm,max_depth", list(GOLDEN), ids=str)
+    def test_model_and_scores_are_pinned(self, algorithm, max_depth, tmp_path):
+        ds, probes = noisy_forest_dataset()
+        model = train(ds, algorithm, {"n_trees": 100, "max_depth": max_depth}, seed=5)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        digests = (
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(predict_proba_batch(model, probes).tobytes()).hexdigest(),
+        )
+        assert digests == self.GOLDEN[algorithm, max_depth]
+
+
 def reference_smote_rows(dataset, k, seed):
     """SMOTE's synthetic rows with Hamming distances from the m x m x F tensor."""
     minority = sorted(
