@@ -731,3 +731,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -15,7 +15,16 @@ subset of sorted rows is still sorted, so inner CV folds are slices.
 
 On 0/1 features the ExtraTrees "uniformly random threshold between
 observed feature values" degenerates to the midpoint 0.5, which makes
-the two forests differ only in bootstrapping.
+the two forests differ only in bootstrapping.  Both grow and score on
+column bitsets: each feature column and the positive labels are one
+Python int whose bit i is row i, and a tree node's rows are one int
+mask.  A split's counts are popcounts of ``mask & col`` and
+``mask & ypos & col``, and its children are ``mask & col`` and
+``mask & ~col``.  ExtraTrees builds the columns once for all its trees;
+RandomForest builds them per tree over its bootstrap draws, one bit per
+draw, so a row drawn twice counts twice.  Scoring builds the query
+matrix's columns once, and each tree ORs its OnHold leaves' masks into
+one int.
 """
 
 from __future__ import annotations
@@ -165,6 +174,12 @@ def vocabulary_digest(vocab: NGramVocabulary) -> str:
 _LEAF = -1
 
 
+def _column_bits(x: np.ndarray) -> list[int]:
+    """One int per column of a 0/1 matrix; bit i of int j is x[i, j]."""
+    packed = np.packbits(x, axis=0, bitorder="little")
+    return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
+
+
 @dataclass
 class _Tree:
     feature: list[int]
@@ -172,57 +187,59 @@ class _Tree:
     right: list[int]
     value: list[float]
 
-    def votes(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.shape[0], dtype=np.uint8)
-        stack = [(0, np.arange(x.shape[0]))]
+    def positive_rows(self, cols: list[int], rows: int) -> int:
+        """Mask of the rows in ``rows`` whose leaf votes OnHold, given query columns."""
+        positive = 0
+        stack = [(0, rows)]
         while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
+            node, mask = stack.pop()
+            if not mask:
                 continue
             f = self.feature[node]
             if f == _LEAF:
                 # Leaf ties (value exactly 0.5) vote positive.
-                out[idx] = 1 if self.value[node] >= 0.5 else 0
+                if self.value[node] >= 0.5:
+                    positive |= mask
             else:
-                on = x[idx, f] == 1
-                stack.append((self.right[node], idx[on]))
-                stack.append((self.left[node], idx[~on]))
-        return out
+                stack.append((self.right[node], mask & cols[f]))
+                stack.append((self.left[node], mask & ~cols[f]))
+        return positive
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, rows: np.ndarray, feats: np.ndarray) -> int | None:
-    """Feature among feats with the lowest weighted child gini, or None."""
-    sub = x[np.ix_(rows, feats)]
-    n = rows.size
-    ones = sub.sum(axis=0, dtype=np.int64)
-    valid = (ones > 0) & (ones < n)
-    if not valid.any():
-        return None
-    pos_rows = y[rows] == 1
-    ones_pos = sub[pos_rows].sum(axis=0, dtype=np.int64)
-    npos = int(pos_rows.sum())
+def _best_split(
+    cols: list[int], mask: int, mask_pos: int, n: int, npos: int, feats: Sequence[int]
+) -> int | None:
+    """Feature among feats with the lowest weighted child gini, or None.
 
-    n1 = ones
-    n0 = n - ones
-    p1 = ones_pos
-    p0 = npos - ones_pos
-    safe1 = np.maximum(n1, 1)
-    safe0 = np.maximum(n0, 1)
-    gini1 = 1.0 - (p1 / safe1) ** 2 - ((n1 - p1) / safe1) ** 2
-    gini0 = 1.0 - (p0 / safe0) ** 2 - ((n0 - p0) / safe0) ** 2
-    score = (n0 * gini0 + n1 * gini1) / n
-    score[~valid] = np.inf
-    return int(feats[int(np.argmin(score))])
+    The first strict minimum wins.  Other float operations, or another
+    order of them, can flip near-ties and so change fitted models.
+    """
+    best, best_score = None, math.inf
+    for f in feats:
+        col = cols[f]
+        n1 = (mask & col).bit_count()
+        if n1 == 0 or n1 == n:
+            continue
+        p1 = (mask_pos & col).bit_count()
+        n0 = n - n1
+        p0 = npos - p1
+        a, b = p1 / n1, (n1 - p1) / n1
+        c, d = p0 / n0, (n0 - p0) / n0
+        score = (n0 * (1.0 - c * c - d * d) + n1 * (1.0 - a * a - b * b)) / n
+        if score < best_score:
+            best, best_score = f, score
+    return best
 
 
 def _grow_tree(
-    x: np.ndarray,
-    y: np.ndarray,
-    root_rows: np.ndarray,
+    cols: list[int],
+    ypos: int,
+    n_rows: int,
     rng: np.random.Generator,
     max_depth: int | None,
 ) -> _Tree:
-    n_features = x.shape[1]
+    """Grow one tree over rows 0..n_rows-1 of the column bitsets cols."""
+    n_features = len(cols)
     n_sample = max(1, math.isqrt(n_features))
     tree = _Tree([], [], [], [])
 
@@ -233,31 +250,32 @@ def _grow_tree(
         tree.value.append(frac)
         return len(tree.feature) - 1
 
-    # (rows, depth, parent, is_right); parent -1 marks the root.
-    stack: list[tuple[np.ndarray, int, int, bool]] = [(root_rows, 0, -1, False)]
+    # (row mask, depth, parent, is_right); parent -1 marks the root.
+    stack: list[tuple[int, int, int, bool]] = [((1 << n_rows) - 1, 0, -1, False)]
     while stack:
-        rows, depth, parent, is_right = stack.pop()
-        npos = int(y[rows].sum())
-        node = new_node(npos / rows.size)
+        mask, depth, parent, is_right = stack.pop()
+        n = mask.bit_count()
+        mask_pos = mask & ypos
+        npos = mask_pos.bit_count()
+        node = new_node(npos / n)
         if parent >= 0:
             if is_right:
                 tree.right[parent] = node
             else:
                 tree.left[parent] = node
-        if npos == 0 or npos == rows.size or (max_depth is not None and depth >= max_depth):
+        if npos == 0 or npos == n or (max_depth is not None and depth >= max_depth):
             continue
-        feats = np.sort(rng.choice(n_features, size=n_sample, replace=False))
-        split = _best_split(x, y, rows, feats)
+        feats = np.sort(rng.choice(n_features, size=n_sample, replace=False)).tolist()
+        split = _best_split(cols, mask, mask_pos, n, npos, feats)
         if split is None and n_sample < n_features:
             # Sampled features were all constant here; fall back to a
             # full scan so a pure-yet-splittable node is not wasted.
-            split = _best_split(x, y, rows, np.arange(n_features))
+            split = _best_split(cols, mask, mask_pos, n, npos, range(n_features))
         if split is None:
             continue
         tree.feature[node] = split
-        on = x[rows, split] == 1
-        stack.append((rows[on], depth + 1, node, True))
-        stack.append((rows[~on], depth + 1, node, False))
+        stack.append((mask & cols[split], depth + 1, node, True))
+        stack.append((mask & ~cols[split], depth + 1, node, False))
     return tree
 
 
@@ -266,9 +284,14 @@ class _FittedForest:
     trees: list[_Tree]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        votes = np.zeros(x.shape[0], dtype=np.float64)
+        n = x.shape[0]
+        cols = _column_bits(x)
+        every = (1 << n) - 1
+        votes = np.zeros(n, dtype=np.float64)
         for tree in self.trees:
-            votes += tree.votes(x)
+            positive = tree.positive_rows(cols, every)
+            packed = np.frombuffer(positive.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+            votes += np.unpackbits(packed, count=n, bitorder="little")
         return votes / len(self.trees)
 
     def state(self) -> dict[str, Any]:
@@ -294,14 +317,16 @@ def _fit_forest(
 ) -> _FittedForest:
     n_rows = x.shape[0]
     streams = np.random.SeedSequence(seed).spawn(hp["n_trees"])
+    # ExtraTrees grows every tree on all rows, so the columns are built once.
+    cols, ypos = _column_bits(x), _column_bits(y[:, None])[0]
     trees = []
     for stream in streams:
         rng = np.random.default_rng(stream)
         if bootstrap:
+            # Bit i stands for draw i, so a row drawn twice counts twice.
             rows = rng.integers(0, n_rows, size=n_rows)
-        else:
-            rows = np.arange(n_rows)
-        trees.append(_grow_tree(x, y, rows, rng, hp["max_depth"]))
+            cols, ypos = _column_bits(x[rows]), _column_bits(y[rows, None])[0]
+        trees.append(_grow_tree(cols, ypos, n_rows, rng, hp["max_depth"]))
     return _FittedForest(trees)
 
 

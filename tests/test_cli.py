@@ -9,10 +9,14 @@ recorded tracker fixtures, and report renders the check output.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import onhold
 from onhold import datasetio, tracker
 from onhold.cli import cli_main, load_project_config
 from onhold.errors import ConfigError
@@ -83,6 +87,19 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+    def test_module_runs_as_a_script(self, tmp_path):
+        (tmp_path / "r.json").write_text(
+            '{"schema_version": 1, "total": 0, "ready_count": 0, "findings": []}',
+            encoding="utf-8",
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(onhold.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "onhold.cli", "report", "--input", "r.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("# On-hold comment check report")
 
     def test_missing_input_file_is_a_user_error(self, tmp_path, capsys):
         code = cli_main(

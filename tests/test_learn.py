@@ -393,6 +393,39 @@ class TestForestGolden:
         assert digests == self.GOLDEN[algorithm, max_depth]
 
 
+def reference_forest_scores(model, x):
+    """Fraction of trees voting OnHold, walking each tree row by row."""
+    trees = model._impl.trees
+    scores = []
+    for row in x.tolist():
+        votes = 0
+        for tree in trees:
+            node = 0
+            while tree.feature[node] != -1:
+                f = tree.feature[node]
+                node = tree.right[node] if row[f] == 1 else tree.left[node]
+            votes += tree.value[node] >= 0.5
+        scores.append(votes / len(trees))
+    return scores
+
+
+class TestForestScoring:
+    """Batch scores equal a per-row walk of each tree, full last mask byte or not."""
+
+    @pytest.mark.parametrize("algorithm", ["ExtraTrees", "RandomForest"])
+    @pytest.mark.parametrize("n_rows", [0, 1, 8, 9, 65])
+    def test_batch_scores_match_a_per_row_walk(self, algorithm, n_rows, tmp_path):
+        ds, probes = noisy_forest_dataset()
+        model = train(ds, algorithm, {"n_trees": 10}, seed=3)
+        x = probes[::5][:n_rows]
+        scores = predict_proba_batch(model, x)
+        assert scores.dtype == np.float64
+        assert scores.tolist() == reference_forest_scores(model, x)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert predict_proba_batch(load_model(path), x).tolist() == scores.tolist()
+
+
 def reference_smote_rows(dataset, k, seed):
     """SMOTE's synthetic rows with Hamming distances from the m x m x F tensor."""
     minority = sorted(
