@@ -290,21 +290,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
     rows = datasetio.load_dataset(args.dataset)
     tokens, labels = _prepare_vectors(args, rows)
     _info(_dataset_echo(args.dataset, labels))
-    if args.bow:
-        vocab = ngrams.build_bow_vocabulary(tokens)
-    else:
-        positives = [
-            tok for tok, label in zip(tokens, labels) if label is Label.ON_HOLD
-        ]
-        vocab = ngrams.extract_terms(positives, max_n=args.max_n, min_df=args.min_df)
-    if len(vocab) == 0:
-        raise DataFormatError(
-            "no vocabulary terms survived extraction; check labels and min-df"
-        )
-    vectors = [ngrams.vectorize(tok, vocab) for tok in tokens]
-    dataset = learn.make_dataset(
-        vectors, labels, len(vocab), provenance=str(args.dataset)
-    )
+    vocab, dataset = learn.featurize(tokens, labels, bow=args.bow)
     model = learn.fit(
         dataset, args.algorithm, smote=args.smote, seed=args.seed, vocabulary=vocab
     )
@@ -402,6 +388,11 @@ def _cmd_check(args: argparse.Namespace) -> None:
     )
     pairs = _tracker_projects(args, config)
     default_kind = pairs[0][0] if pairs else None
+    # A GitHub key names no repository, so two would leave each issue's
+    # repository a guess; Jira and Bugzilla requests ignore --project.
+    repos = sorted({project for kind, project in pairs if kind is TrackerKind.GITHUB})
+    if len(repos) > 1:
+        raise ConfigError(f"github takes one --project, got {', '.join(map(repr, repos))}")
     projects = dict(reversed(pairs))  # a tracker's first --project wins
     base_url = args.base_url or (config.base_url if config else "")
     cache_dir = args.cache_dir or (config.cache_dir if config else "")
@@ -477,8 +468,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         variants=variants,
         k=args.k,
         seed=args.seed,
-        max_n=args.max_n,
-        global_vocab=args.global_vocab,
     )
     _emit(evalstats.results_tsv(results), args.out)
     for variant in variants:
@@ -643,10 +632,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="use unigram bag-of-words features instead of weighted n-grams",
     )
-    p.add_argument("--max-n", type=int, default=ngrams.MAX_NGRAM_LEN,
-                   help="longest n-gram to consider")
-    p.add_argument("--min-df", type=int, default=ngrams.MIN_DOC_FREQ,
-                   help="minimum document frequency for vocabulary terms")
     _add_pattern_flags(p)
     _add_text_flags(p)
 
@@ -676,13 +661,6 @@ def build_parser() -> _Parser:
     p.add_argument("--variants", default="ngram-auto",
                    help="comma-separated variants: " + ",".join(evalstats.VARIANTS))
     p.add_argument("--k", type=int, default=10, help="number of folds")
-    p.add_argument("--max-n", type=int, default=ngrams.MAX_NGRAM_LEN,
-                   help="longest n-gram to consider")
-    p.add_argument(
-        "--global-vocab",
-        action="store_true",
-        help="mine the vocabulary once from all folds (leaky; for comparison only)",
-    )
     p.add_argument("--compare", action="store_true",
                    help="also emit pairwise significance comparisons")
     p.add_argument("--comparisons-out", default=None,

@@ -1,5 +1,9 @@
 """Evaluation protocol: k-fold CV, metrics, and nonparametric statistics.
 
+``evaluate_variants`` cross-validates the pipeline ``train`` ships:
+each training fold gets its own vocabulary and dataset from
+``learn.featurize``, so no test-fold comment shapes the features.
+
 The statistics are implemented from first principles because the exact
 behaviours matter for reproducibility: the Mann-Whitney p-value is
 computed by exact enumeration (a dynamic program over tie blocks) for
@@ -388,14 +392,14 @@ def resolution_delay_stats(
 # --------------------------------------------------------------------------
 # variant evaluation
 
-# variant -> (features, SMOTE first, algorithm or "auto")
-_VARIANT_PLANS: dict[str, tuple[str, bool, str]] = {
-    "ngram-auto": ("ngram", False, "auto"),
-    "bow-auto": ("bow", False, "auto"),
-    "ngram-smote-auto": ("ngram", True, "auto"),
-    "ngram-nb": ("ngram", False, "NaiveBayes"),
-    "ngram-svm": ("ngram", False, "LinearSVM"),
-    "ngram-knn": ("ngram", False, "KNN"),
+# variant -> (bag-of-words features, SMOTE first, algorithm or "auto")
+_VARIANT_PLANS: dict[str, tuple[bool, bool, str]] = {
+    "ngram-auto": (False, False, "auto"),
+    "bow-auto": (True, False, "auto"),
+    "ngram-smote-auto": (False, True, "auto"),
+    "ngram-nb": (False, False, "NaiveBayes"),
+    "ngram-svm": (False, False, "LinearSVM"),
+    "ngram-knn": (False, False, "KNN"),
 }
 VARIANTS = tuple(_VARIANT_PLANS)
 
@@ -423,15 +427,12 @@ def evaluate_variants(
     variants: Sequence[str] = ("ngram-auto",),
     k: int = 10,
     seed: int = 0,
-    max_n: int = ngrams.MAX_NGRAM_LEN,
-    global_vocab: bool = False,
 ) -> dict[str, FoldScores]:
     """k-fold evaluation of classification variants on tokenized comments.
 
-    The n-gram vocabulary is mined from the positive comments of each
-    training fold (or, with global_vocab, once from all positives, to
-    probe how much that leaks); the BOW vocabulary comes from all
-    training-fold comments.  A test fold with one class contributes a
+    Each training fold is featurized by ``learn.featurize``, as ``train``
+    featurizes the whole dataset, and its test fold is vectorized with
+    that fold's vocabulary.  A test fold with one class contributes a
     neutral AUC of 0.5.
     """
     if len(comments) != len(labels):
@@ -442,44 +443,27 @@ def evaluate_variants(
 
     indices = list(range(len(comments)))
     folds = kfold_split(indices, k=k, seed=seed)
-    whole_vocab = None
-    if global_vocab:
-        all_positive = [comments[i] for i in indices if labels[i] is Label.ON_HOLD]
-        whole_vocab = ngrams.extract_terms(all_positive, max_n=max_n)
-
     collected: dict[str, dict[str, list[float]]] = {
         v: {metric: [] for metric in _METRICS} for v in variants
     }
-    for fold_no, fold in enumerate(folds):
+    for fold in folds:
         held = set(fold)
         train_idx = [i for i in indices if i not in held]
-        train_comments = [comments[i] for i in train_idx]
-        positives = [comments[i] for i in train_idx if labels[i] is Label.ON_HOLD]
-        if whole_vocab is not None:
-            vocab = whole_vocab
-        else:
-            vocab = ngrams.extract_terms(positives, max_n=max_n)
-        # Each feature space is vectorized once per fold and shared by
-        # every variant that trains on it.
-        prepared: dict[str, tuple[Dataset, Dataset]] = {}
+        # Each feature space is built once per fold and shared by every
+        # variant that trains on it.
+        prepared: dict[bool, tuple[Dataset, Dataset]] = {}
         for variant in variants:
-            features, smote, algorithm = _VARIANT_PLANS[variant]
-            if features not in prepared:
-                current = (vocab if features == "ngram"
-                           else ngrams.build_bow_vocabulary(train_comments))
-                if len(current) == 0:
-                    raise ValueError(
-                        f"fold {fold_no}: empty vocabulary; corpus too small for {variant}"
-                    )
-                prepared[features] = tuple(
-                    learn.make_dataset(
-                        [ngrams.vectorize(comments[i], current) for i in part],
-                        [labels[i] for i in part], len(current),
-                        provenance=f"fold-{fold_no}-{name}",
-                    )
-                    for name, part in (("train", train_idx), ("test", fold))
+            bow, smote, algorithm = _VARIANT_PLANS[variant]
+            if bow not in prepared:
+                vocab, train_ds = learn.featurize(
+                    [comments[i] for i in train_idx], [labels[i] for i in train_idx], bow=bow
                 )
-            train_ds, test_ds = prepared[features]
+                test_ds = learn.make_dataset(
+                    [ngrams.vectorize(comments[i], vocab) for i in fold],
+                    [labels[i] for i in fold], len(vocab),
+                )
+                prepared[bow] = train_ds, test_ds
+            train_ds, test_ds = prepared[bow]
             model = learn.fit(train_ds, algorithm, smote=smote, seed=seed)
             scores = score_model(model, test_ds)
             for metric, value in zip(_METRICS, scores):

@@ -6,6 +6,10 @@ subsampling per node), Bernoulli naive Bayes with add-one smoothing, a
 linear SVM trained by Pegasos-style stochastic subgradient descent, and
 k-nearest-neighbours under Jaccard distance on feature index sets.
 
+``featurize`` turns tokenized training comments into their vocabulary
+and ``Dataset``, for ``train`` and for each training fold of
+``evaluate`` alike, so ``evaluate`` measures the model ``train`` ships.
+
 A labeled row has one form: a row of a ``Dataset``'s 0/1 matrix, which
 ``feature_matrix`` builds from ``FeatureVector``s.  Rows enter a
 ``Dataset`` sorted by a content hash of each row, and every random
@@ -39,6 +43,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from . import ngrams
 from .errors import ConfigError, DataFormatError, TrainingError
 from .ngrams import FeatureVector, NGramVocabulary, format_vocabulary
 
@@ -160,6 +165,28 @@ def make_dataset(
         raise ValueError("vectors and labels differ in length")
     y = np.array([label is Label.ON_HOLD for label in labels], dtype=np.uint8)
     return _canonical(feature_matrix(vectors, n_features), y, provenance)
+
+
+def featurize(
+    tokens: Sequence[Sequence[str]], labels: Sequence[Label], bow: bool = False
+) -> tuple[NGramVocabulary, Dataset]:
+    """The vocabulary of these training comments, and their dataset in it.
+
+    The vocabulary is the n-gram terms of the OnHold comments, or with
+    ``bow`` the unigrams of every comment.  Raises TrainingError when
+    no term survives.
+    """
+    if bow:
+        vocab = ngrams.build_bow_vocabulary(tokens)
+    else:
+        vocab = ngrams.extract_terms(
+            [tok for tok, label in zip(tokens, labels) if label is Label.ON_HOLD]
+        )
+    if len(vocab) == 0:
+        source = "comments" if bow else "OnHold comments"
+        raise TrainingError(f"no vocabulary term survived extraction from the {source}")
+    vectors = [ngrams.vectorize(tok, vocab) for tok in tokens]
+    return vocab, make_dataset(vectors, labels, len(vocab))
 
 
 def vocabulary_digest(vocab: NGramVocabulary) -> str:

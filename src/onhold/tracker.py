@@ -20,7 +20,6 @@ import json
 import logging
 import os
 import tempfile
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -195,12 +194,11 @@ def is_ready_to_remove(record: IssueRecord) -> bool:
 
 
 class IssueGateway:
-    """Fetches issue records with in-memory + on-disk caching.
+    """Fetches issue records through an optional on-disk cache.
 
-    Within one gateway instance each key hits the transport at most
-    once; the optional disk cache (TTL-bounded) carries records across
-    runs.  Retries with exponential backoff cover rate limits and
-    transient server errors.
+    ``fetch_many`` asks for each distinct key once; the disk cache
+    (TTL-bounded) carries records across runs.  Retries with
+    exponential backoff cover rate limits and transient server errors.
     """
 
     def __init__(
@@ -219,8 +217,6 @@ class IssueGateway:
             self.transport = HttpTransport()
         self._sleep = sleep
         self._clock = clock or (lambda: datetime.now(timezone.utc))
-        self._memory: dict[str, IssueRecord] = {}
-        self._lock = threading.Lock()
 
     # -- disk cache -------------------------------------------------
 
@@ -302,14 +298,7 @@ class IssueGateway:
             return record
 
     def fetch(self, key: str) -> IssueRecord:
-        with self._lock:
-            cached = self._memory.get(key)
-        if cached is not None:
-            return cached
-        record = self._read_disk(key) or self._fetch_uncached(key)
-        with self._lock:
-            self._memory[key] = record
-        return record
+        return self._read_disk(key) or self._fetch_uncached(key)
 
     def fetch_many(self, keys: Iterable[str]) -> dict[str, IssueRecord | None]:
         """Fetch concurrently; failed keys map to None (warning logged).

@@ -139,8 +139,15 @@ class TestExitCodes:
             ["mine", "--repo", "absent", "--seed", "1"],
             ["train", "--dataset", "absent.tsv", "--model", "m.json", "--vocab", "v.tsv",
              "--out", "x"],
+            ["train", "--dataset", "absent.tsv", "--model", "m.json", "--vocab", "v.tsv",
+             "--max-n", "3"],
+            ["train", "--dataset", "absent.tsv", "--model", "m.json", "--vocab", "v.tsv",
+             "--min-df", "1"],
+            ["evaluate", "--dataset", "absent.tsv", "--max-n", "3"],
+            ["evaluate", "--dataset", "absent.tsv", "--global-vocab"],
         ],
-        ids=["mine-seed", "train-out"],
+        ids=["mine-seed", "train-out", "train-max-n", "train-min-df", "evaluate-max-n",
+             "evaluate-global-vocab"],
     )
     def test_options_that_nothing_reads_are_rejected(self, tmp_path, monkeypatch, capsys,
                                                      argv):
@@ -519,6 +526,37 @@ class TestPipeline:
             ("jira", "HADOOP", "HADOOP-1"),
         ]
 
+    def test_check_rejects_two_github_repositories(self, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "github_7.json").write_text('{"state": "open"}', encoding="utf-8")
+        table = datasetio.format_table(
+            ("comment_text", "issue_key", "tracker", "label"),
+            [["remove after issue 7", "7", "github", "OnHold"]],
+        )
+        source = tmp_path / "remaining.tsv"
+        source.write_text(table, encoding="utf-8")
+        out = tmp_path / "check.json"
+        code = cli_main(
+            ["check", "--input", str(source), "--fixtures", str(fixtures),
+             "--tracker", "github", "--project", "a/x",
+             "--tracker", "github", "--project", "b/y", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "github" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_check_accepts_several_jira_projects(self, tmp_path):
+        out = tmp_path / "check.json"
+        code = cli_main(
+            ["check", "--input", str(self.check_input(tmp_path)), "--fixtures",
+             str(FIXTURE_DIR), "--tracker", "jira", "--project", "HADOOP",
+             "--tracker", "jira", "--project", "HDFS", "--out", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["findings"]
+
     def test_check_keeps_equal_keys_of_two_trackers_apart(self, tmp_path):
         fixtures = tmp_path / "fixtures"
         fixtures.mkdir()
@@ -662,6 +700,45 @@ class TestEvaluate:
         assert header == ["pair", "metric", "p", "adjusted_p", "cliffs_delta", "magnitude"]
         assert [fields[1] for fields in rows] == ["precision", "recall", "f1", "auc"]
         assert all(fields[0] == "ngram-nb vs ngram-svm" for fields in rows)
+
+    def test_all_variants_are_evaluated_reproducibly(self, dataset_path, tmp_path):
+        variants = "ngram-auto,bow-auto,ngram-smote-auto,ngram-nb,ngram-svm,ngram-knn"
+        outputs = []
+        for name in ("a.tsv", "b.tsv"):
+            out = tmp_path / name
+            assert cli_main(
+                ["evaluate", "--dataset", str(dataset_path), "--k", "3",
+                 "--variants", variants, "--out", str(out)]
+            ) == 0
+            outputs.append(out.read_bytes())
+        _, rows = read_table(tmp_path / "a.tsv")
+        assert [(fields[0], fields[1]) for fields in rows] == [
+            (variant, str(fold)) for variant in variants.split(",") for fold in range(3)
+        ]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_on_hold_comments_sharing_no_term_fail_cleanly(self, command, tmp_path,
+                                                           capsys):
+        words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
+        rows = [
+            datasetio.DatasetRow(text, f"src/{n}.java", 1, f"HADOOP-{n}", label)
+            for n, (text, label) in enumerate(
+                [(word, Label.ON_HOLD) for word in words]
+                + [(f"see {word} for details", Label.CROSS_REFERENCE) for word in words]
+            )
+        ]
+        dataset = tmp_path / "disjoint.tsv"
+        datasetio.save_dataset(rows, dataset)
+        argv = {
+            "train": ["train", "--dataset", str(dataset), "--model", str(tmp_path / "m.json"),
+                      "--vocab", str(tmp_path / "v.tsv")],
+            "evaluate": ["evaluate", "--dataset", str(dataset), "--k", "3"],
+        }[command]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: no vocabulary term survived" in err
+        assert "Traceback" not in err
 
     def test_unknown_variant_is_rejected(self, dataset_path, capsys):
         assert cli_main(

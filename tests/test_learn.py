@@ -24,6 +24,7 @@ from onhold.learn import (
     Label,
     classify,
     feature_matrix,
+    featurize,
     load_model,
     make_dataset,
     predict_proba,
@@ -34,7 +35,7 @@ from onhold.learn import (
     train,
     vocabulary_digest,
 )
-from onhold.ngrams import FeatureVector, extract_terms, vectorize
+from onhold.ngrams import FeatureVector, build_bow_vocabulary, extract_terms, vectorize
 
 from corpus import generate_corpus
 
@@ -334,6 +335,35 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         assert load_model(path).vocabulary_hash == vocabulary_digest(vocab)
+
+
+class TestFeaturize:
+    TOKENS = [["a", "b"], ["a", "b", "c"], ["a", "x"], ["x", "y"], ["b"]]
+    LABELS = [ON, ON, CROSS, CROSS, ON]
+
+    @pytest.mark.parametrize(
+        "bow,expected",
+        [(False, extract_terms([["a", "b"], ["a", "b", "c"], ["b"]])),
+         (True, build_bow_vocabulary(TOKENS))],
+        ids=["ngram", "bow"],
+    )
+    def test_vocabulary_and_every_row_in_it(self, bow, expected):
+        vocab, dataset = featurize(self.TOKENS, self.LABELS, bow=bow)
+        assert vocab == expected
+        reference = make_dataset([vectorize(t, vocab) for t in self.TOKENS], self.LABELS,
+                                 len(vocab))
+        assert np.array_equal(dataset.x, reference.x)
+        assert np.array_equal(dataset.y, reference.y)
+        assert np.array_equal(dataset.order, reference.order)
+
+    @pytest.mark.parametrize(
+        "bow,tokens",
+        [(False, [["a"], ["b"], ["a"], ["a"]]), (True, [[], [], [], []])],
+        ids=["on-hold-comments-share-no-term", "no-tokens"],
+    )
+    def test_no_surviving_term_is_a_training_error(self, bow, tokens):
+        with pytest.raises(TrainingError, match="no vocabulary term"):
+            featurize(tokens, [ON, ON, CROSS, CROSS], bow=bow)
 
 
 def noisy_forest_dataset():

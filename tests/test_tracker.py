@@ -28,7 +28,9 @@ from onhold.javalex import CommentBlock
 from onhold.miner import CommentLifecycle
 from onhold.timestamps import format_timestamp
 from onhold.tracker import (
+    TIMEOUT_SECONDS,
     FixtureTransport,
+    HttpTransport,
     IssueGateway,
     IssueRecord,
     Recommendation,
@@ -292,6 +294,91 @@ class TestFixtureTransport:
         assert gateway.fetch("HADOOP-6223").raw_status == "Resolved"
 
 
+class TestHttpTransport:
+    """The live transport against a fake ``requests.get``; nothing leaves the process."""
+
+    TOKENS = ("ITS_GITHUB_TOKEN", "ITS_JIRA_TOKEN", "ITS_BUGZILLA_TOKEN")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import requests
+
+        for name in self.TOKENS:
+            monkeypatch.delenv(name, raising=False)
+        made = []
+
+        def get(url, **kwargs):
+            made.append((url, kwargs))
+            response = requests.Response()
+            response.status_code = 200
+            response._content = b'{"state": "open"}'
+            return response
+
+        monkeypatch.setattr(requests, "get", get)
+        return made
+
+    @pytest.mark.parametrize(
+        "config,key,url",
+        [
+            (TrackerConfig(tracker=GITHUB, repo="apache/dubbo"), "7",
+             "https://api.github.com/repos/apache/dubbo/issues/7"),
+            (TrackerConfig(tracker=GITHUB, repo="apache/dubbo",
+                           base_url="https://ghe.example.org/api/v3/"), "7",
+             "https://ghe.example.org/api/v3/repos/apache/dubbo/issues/7"),
+            (TrackerConfig(tracker=JIRA, base_url="https://issues.example.org/jira"),
+             "HADOOP-1", "https://issues.example.org/jira/rest/api/2/issue/HADOOP-1"),
+            (TrackerConfig(tracker=JIRA, base_url="https://issues.example.org/"),
+             "HADOOP-1", "https://issues.example.org/rest/api/2/issue/HADOOP-1"),
+            (TrackerConfig(tracker=BUGZILLA, base_url="https://bugs.example.org/"),
+             "42", "https://bugs.example.org/rest/bug/42"),
+        ],
+        ids=["github-default-root", "github-base-url", "jira", "jira-trailing-slash",
+             "bugzilla-trailing-slash"],
+    )
+    def test_url_and_timeout(self, calls, config, key, url):
+        assert HttpTransport().fetch(config, key) == (200, {"state": "open"})
+        ((called, kwargs),) = calls
+        assert called == url
+        assert kwargs["timeout"] == TIMEOUT_SECONDS
+        assert kwargs["headers"] == {"Accept": "application/json"}
+
+    @pytest.mark.parametrize(
+        "kind,env,header,value",
+        [
+            (BUGZILLA, "ITS_BUGZILLA_TOKEN", "X-BUGZILLA-API-KEY", "s3cret"),
+            (JIRA, "ITS_JIRA_TOKEN", "Authorization", "Bearer s3cret"),
+            (GITHUB, "ITS_GITHUB_TOKEN", "Authorization", "Bearer s3cret"),
+        ],
+    )
+    def test_token_becomes_the_auth_header(self, calls, monkeypatch, kind, env, header,
+                                           value):
+        monkeypatch.setenv(env, "s3cret")
+        config = TrackerConfig(tracker=kind, base_url="https://t.example.org", repo="a/b")
+        HttpTransport().fetch(config, "1")
+        ((_, kwargs),) = calls
+        assert kwargs["headers"] == {"Accept": "application/json", header: value}
+
+    def test_another_trackers_token_is_not_sent(self, calls, monkeypatch):
+        monkeypatch.setenv("ITS_GITHUB_TOKEN", "s3cret")
+        config = TrackerConfig(tracker=JIRA, base_url="https://t.example.org")
+        HttpTransport().fetch(config, "HADOOP-1")
+        ((_, kwargs),) = calls
+        assert kwargs["headers"] == {"Accept": "application/json"}
+
+    def test_non_json_body_is_an_empty_payload(self, monkeypatch):
+        import requests
+
+        def get(url, **kwargs):
+            response = requests.Response()
+            response.status_code = 502
+            response._content = b"<html>Bad Gateway</html>"
+            return response
+
+        monkeypatch.setattr(requests, "get", get)
+        config = TrackerConfig(tracker=JIRA, base_url="https://t.example.org")
+        assert HttpTransport().fetch(config, "HADOOP-1") == (502, {})
+
+
 class TestGatewayRetries:
     def make_gateway(self, responses):
         sleeps: list[float] = []
@@ -328,14 +415,6 @@ class TestGatewayRetries:
 
 
 class TestGatewayCaching:
-    def test_memory_cache_fetches_once(self):
-        transport = CountingTransport(FixtureTransport(FIXTURE_DIR))
-        gateway = IssueGateway(fixture_config(), transport)
-        first = gateway.fetch("HADOOP-6223")
-        second = gateway.fetch("HADOOP-6223")
-        assert first == second
-        assert transport.calls == 1
-
     def test_fetch_many_deduplicates_keys(self):
         transport = CountingTransport(FixtureTransport(FIXTURE_DIR))
         gateway = IssueGateway(fixture_config(), transport)
