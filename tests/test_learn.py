@@ -423,6 +423,49 @@ class TestForestGolden:
         assert digests == self.GOLDEN[algorithm, max_depth]
 
 
+class TestLearnerGolden:
+    """sha256 of the saved model and of its scores, for the other grid candidates.
+
+    Same noisy matrix as ``TestForestGolden``.  Any change to the random
+    calls, the float operations or the model file format changes them.
+    """
+
+    GOLDEN = {
+        ("NaiveBayes", (("alpha", 1.0),)): (
+            "65dce464cdfe08188638cbbc1c095d7ce29344e5a741d2faaef72b7aa11d0264",
+            "ce0d843880cd8ebd239f2a36d5973a556c7ad56aaca13cb4ce1bd28762fe5ef4",
+        ),
+        ("LinearSVM", (("lam", 1e-2), ("epochs", 30))): (
+            "f1538a708be623f390802ca4e5044a871807e18004a6dd5710bea47f35dcc50a",
+            "06155e63fa418addf64622a497360e4453f9a971f1b2c1c2274f160d2731f388",
+        ),
+        ("LinearSVM", (("lam", 1e-4), ("epochs", 30))): (
+            "6ab76b0ad51c5932b5a4e5ff4498ac4992b03a91bbab969f31fc80147682ccaa",
+            "09f1ab3cb045b5f08ce4a8b812bf2c496a37a4e00145c2c81ea383071e4c8569",
+        ),
+        ("KNN", (("k", 1),)): (
+            "431313058fadac1f009ff7a0bab951d97132e3bad13698bdb9ab5a8f4c9a5ad8",
+            "3fe792fe5a63efcc6a1b2d424c23bce7015844905fad67c12d05be7e91bfe7a8",
+        ),
+        ("KNN", (("k", 5),)): (
+            "c55b1a5323ffcb8af0a7edfc766a61373822c56f64cfa971e20eb2a49e41e0ec",
+            "9bd5bfcb9272f2c436a0a8c12b2ae3f8de0f74bfa0c2e393dce022e0aa2a63f4",
+        ),
+    }
+
+    @pytest.mark.parametrize("algorithm,hp", list(GOLDEN), ids=str)
+    def test_model_and_scores_are_pinned(self, algorithm, hp, tmp_path):
+        ds, probes = noisy_forest_dataset()
+        model = train(ds, algorithm, dict(hp), seed=5)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        digests = (
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(predict_proba_batch(model, probes).tobytes()).hexdigest(),
+        )
+        assert digests == self.GOLDEN[algorithm, hp]
+
+
 def reference_forest_scores(model, x):
     """Fraction of trees voting OnHold, walking each tree row by row."""
     trees = model._impl.trees
