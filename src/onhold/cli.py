@@ -291,9 +291,8 @@ def _cmd_train(args: argparse.Namespace) -> None:
     tokens, labels = _prepare_vectors(args, rows)
     _info(_dataset_echo(args.dataset, labels))
     vocab, dataset = learn.featurize(tokens, labels, bow=args.bow)
-    model = learn.fit(
-        dataset, args.algorithm, smote=args.smote, seed=args.seed, vocabulary=vocab
-    )
+    model = learn.fit(dataset, args.algorithm, smote=args.smote, seed=args.seed)
+    model.vocabulary_hash = learn.vocabulary_digest(vocab)
     learn.save_model(model, args.model)
     ngrams.save_vocabulary(vocab, args.vocab)
     _info(
@@ -351,7 +350,6 @@ def _lifecycle_from_fields(
     cell: Callable[[str], str], location: str, issue_key: str, kind: TrackerKind
 ) -> CommentLifecycle:
     text = cell("comment_text")
-    raw = cell("raw_text") or as_raw_comment(text)
     try:
         start = int(cell("line_number") or "1")
         end_raw = cell("end_line")
@@ -366,7 +364,7 @@ def _lifecycle_from_fields(
             file_path=cell("file_path") or "unknown",
             start_line=start,
             end_line=max(start, end),
-            raw_text=raw,
+            raw_text=as_raw_comment(text),
             normalized_text=text,
         )
         return CommentLifecycle(
@@ -389,11 +387,11 @@ def _cmd_check(args: argparse.Namespace) -> None:
     pairs = _tracker_projects(args, config)
     default_kind = pairs[0][0] if pairs else None
     # A GitHub key names no repository, so two would leave each issue's
-    # repository a guess; Jira and Bugzilla requests ignore --project.
+    # repository a guess.  Jira and Bugzilla requests ignore --project,
+    # so their gateways, and hence their cache keys, get no repository.
     repos = sorted({project for kind, project in pairs if kind is TrackerKind.GITHUB})
     if len(repos) > 1:
         raise ConfigError(f"github takes one --project, got {', '.join(map(repr, repos))}")
-    projects = dict(reversed(pairs))  # a tracker's first --project wins
     base_url = args.base_url or (config.base_url if config else "")
     cache_dir = args.cache_dir or (config.cache_dir if config else "")
 
@@ -438,7 +436,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
         gateway_config = tracker.TrackerConfig(
             tracker=kind,
             base_url=base_url,
-            repo=projects.get(kind, ""),
+            repo=repos[0] if repos and kind is TrackerKind.GITHUB else "",
             fixture_dir=args.fixtures,
             cache_dir=cache_dir or None,
         )

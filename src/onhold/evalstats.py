@@ -475,15 +475,11 @@ def evaluate_variants(
     }
 
 
-def compare_folds(
-    a: FoldScores,
-    b: FoldScores,
-    metrics: Sequence[str] = _METRICS,
-) -> list[ComparisonResult]:
+def compare_folds(a: FoldScores, b: FoldScores) -> list[ComparisonResult]:
     """Unpaired Mann-Whitney per metric with Holm correction across them."""
     raw = []
     deltas = []
-    for metric in metrics:
+    for metric in _METRICS:
         xs, ys = a.series(metric), b.series(metric)
         _, p = mann_whitney(xs, ys)
         d, magnitude = cliffs_delta(xs, ys)
@@ -493,7 +489,7 @@ def compare_folds(
     pair = f"{a.variant} vs {b.variant}"
     return [
         ComparisonResult(pair, metric, raw[i], adjusted[i], deltas[i][0], deltas[i][1])
-        for i, metric in enumerate(metrics)
+        for i, metric in enumerate(_METRICS)
     ]
 
 

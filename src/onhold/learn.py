@@ -5,6 +5,8 @@ RandomForest ensembles (100 trees, gini impurity, sqrt-F feature
 subsampling per node), Bernoulli naive Bayes with add-one smoothing, a
 linear SVM trained by Pegasos-style stochastic subgradient descent, and
 k-nearest-neighbours under Jaccard distance on feature index sets.
+Each is one class, listed once in ``_LEARNERS``, that fits, scores,
+saves and checks itself.  ``predict_proba_batch`` is the one scorer.
 
 ``featurize`` turns tokenized training comments into their vocabulary
 and ``Dataset``, for ``train`` and for each training fold of
@@ -60,31 +62,6 @@ class Label(Enum):
         if cleaned in ("crossreference", "cross reference", "0", "negative"):
             return cls.CROSS_REFERENCE
         raise ValueError(f"unknown label {text!r}")
-
-
-ALGORITHMS = ("ExtraTrees", "RandomForest", "NaiveBayes", "LinearSVM", "KNN")
-
-DEFAULT_HYPERPARAMETERS: dict[str, dict[str, Any]] = {
-    "ExtraTrees": {"n_trees": 100, "max_depth": None},
-    "RandomForest": {"n_trees": 100, "max_depth": None},
-    "NaiveBayes": {"alpha": 1.0},
-    "LinearSVM": {"lam": 1e-2, "epochs": 30},
-    "KNN": {"k": 5},
-}
-
-# Candidate grid for select_model: one entry per algorithm/setting the
-# comparison tables report, searched by inner cross-validation.
-DEFAULT_GRID: tuple[tuple[str, dict[str, Any]], ...] = (
-    ("ExtraTrees", {"n_trees": 100, "max_depth": None}),
-    ("ExtraTrees", {"n_trees": 100, "max_depth": 10}),
-    ("RandomForest", {"n_trees": 100, "max_depth": None}),
-    ("RandomForest", {"n_trees": 100, "max_depth": 10}),
-    ("NaiveBayes", {"alpha": 1.0}),
-    ("LinearSVM", {"lam": 1e-2, "epochs": 30}),
-    ("LinearSVM", {"lam": 1e-4, "epochs": 30}),
-    ("KNN", {"k": 1}),
-    ("KNN", {"k": 5}),
-)
 
 
 def feature_matrix(vectors: Sequence[FeatureVector], n_features: int) -> np.ndarray:
@@ -306,9 +283,61 @@ def _grow_tree(
     return tree
 
 
+def _tree_fits(tree: dict[str, Any], n_features: int) -> bool:
+    """Leaves have no children; a split's children come after it, so no path loops."""
+    columns = [tree[key] for key in ("feature", "left", "right", "value")]
+    size = len(columns[0])
+    if size == 0 or any(len(column) != size for column in columns):
+        return False
+    for node, (f, lo, hi) in enumerate(zip(*columns[:3])):
+        leaf = f == lo == hi == _LEAF
+        split = 0 <= f < n_features and node < lo < size and node < hi < size
+        if not (all(type(v) is int for v in (f, lo, hi)) and (leaf or split)):
+            return False
+    return True
+
+
+# --------------------------------------------------------------------------
+# the learners
+#
+# One class per algorithm holds its ``defaults``, the ``grid`` entries
+# ``select_model`` searches, ``check`` of merged hyperparameters, the
+# classmethod ``fit(x, y, hp, seed)``, ``predict_proba`` of a 0/1
+# matrix, and ``state``/``from_state`` for the model file.  ``from_state``
+# raises ValueError when a saved state does not fit ``n_features``.
+
 @dataclass
-class _FittedForest:
+class _ExtraTrees:
+    """Trees grown on every row; ``_RandomForest`` grows each on a bootstrap draw."""
+
     trees: list[_Tree]
+
+    defaults = {"n_trees": 100, "max_depth": None}
+    grid = ({"n_trees": 100, "max_depth": None}, {"n_trees": 100, "max_depth": 10})
+    bootstrap = False
+
+    @staticmethod
+    def check(hp: dict[str, Any]) -> None:
+        if int(hp["n_trees"]) < 1:
+            raise ConfigError("n_trees must be >= 1")
+        if hp["max_depth"] is not None and int(hp["max_depth"]) < 1:
+            raise ConfigError("max_depth must be None or >= 1")
+
+    @classmethod
+    def fit(cls, x: np.ndarray, y: np.ndarray, hp: dict[str, Any], seed: int) -> "_ExtraTrees":
+        n_rows = x.shape[0]
+        streams = np.random.SeedSequence(seed).spawn(hp["n_trees"])
+        # ExtraTrees grows every tree on all rows, so the columns are built once.
+        cols, ypos = _column_bits(x), _column_bits(y[:, None])[0]
+        trees = []
+        for stream in streams:
+            rng = np.random.default_rng(stream)
+            if cls.bootstrap:
+                # Bit i stands for draw i, so a row drawn twice counts twice.
+                rows = rng.integers(0, n_rows, size=n_rows)
+                cols, ypos = _column_bits(x[rows]), _column_bits(y[rows, None])[0]
+            trees.append(_grow_tree(cols, ypos, n_rows, rng, hp["max_depth"]))
+        return cls(trees)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
@@ -330,41 +359,50 @@ class _FittedForest:
         }
 
     @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "_FittedForest":
+    def from_state(cls, state: dict[str, Any], n_features: int) -> "_ExtraTrees":
+        trees = state["trees"]
+        if not (trees and all(_tree_fits(t, n_features) for t in trees)):
+            raise ValueError(f"state does not fit a {n_features}-feature forest")
         return cls(
-            [
-                _Tree(t["feature"], t["left"], t["right"], [float(v) for v in t["value"]])
-                for t in state["trees"]
-            ]
+            [_Tree(t["feature"], t["left"], t["right"], [float(v) for v in t["value"]])
+             for t in trees]
         )
 
 
-def _fit_forest(
-    x: np.ndarray, y: np.ndarray, hp: dict[str, Any], seed: int, bootstrap: bool
-) -> _FittedForest:
-    n_rows = x.shape[0]
-    streams = np.random.SeedSequence(seed).spawn(hp["n_trees"])
-    # ExtraTrees grows every tree on all rows, so the columns are built once.
-    cols, ypos = _column_bits(x), _column_bits(y[:, None])[0]
-    trees = []
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        if bootstrap:
-            # Bit i stands for draw i, so a row drawn twice counts twice.
-            rows = rng.integers(0, n_rows, size=n_rows)
-            cols, ypos = _column_bits(x[rows]), _column_bits(y[rows, None])[0]
-        trees.append(_grow_tree(cols, ypos, n_rows, rng, hp["max_depth"]))
-    return _FittedForest(trees)
+class _RandomForest(_ExtraTrees):
+    bootstrap = True
 
-
-# --------------------------------------------------------------------------
-# Bernoulli naive Bayes
 
 @dataclass
-class _FittedNaiveBayes:
+class _NaiveBayes:
+    """Bernoulli naive Bayes with add-alpha smoothing."""
+
     log_prior: np.ndarray  # shape (2,), order [negative, positive]
     log_p1: np.ndarray     # shape (2, F)
     log_p0: np.ndarray
+
+    defaults = {"alpha": 1.0}
+    grid = ({"alpha": 1.0},)
+
+    @staticmethod
+    def check(hp: dict[str, Any]) -> None:
+        if float(hp["alpha"]) <= 0:
+            raise ConfigError("alpha must be > 0")
+
+    @classmethod
+    def fit(cls, x: np.ndarray, y: np.ndarray, hp: dict[str, Any], seed: int) -> "_NaiveBayes":
+        alpha = float(hp["alpha"])
+        n_features = x.shape[1]
+        log_prior = np.zeros(2)
+        log_p1 = np.zeros((2, n_features))
+        log_p0 = np.zeros((2, n_features))
+        for c in (0, 1):
+            members = x[y == c]
+            theta = (members.sum(axis=0) + alpha) / (len(members) + 2.0 * alpha)
+            log_prior[c] = math.log(len(members) / len(x))
+            log_p1[c] = np.log(theta)
+            log_p0[c] = np.log(1.0 - theta)
+        return cls(log_prior, log_p1, log_p0)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         xf = x.astype(np.float64)
@@ -387,35 +425,47 @@ class _FittedNaiveBayes:
         }
 
     @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "_FittedNaiveBayes":
-        return cls(
-            np.array(state["log_prior"], dtype=np.float64),
-            np.array(state["log_p1"], dtype=np.float64),
-            np.array(state["log_p0"], dtype=np.float64),
-        )
+    def from_state(cls, state: dict[str, Any], n_features: int) -> "_NaiveBayes":
+        shapes = {"log_prior": (2,), "log_p1": (2, n_features), "log_p0": (2, n_features)}
+        arrays = [np.array(state[key], dtype=np.float64) for key in shapes]
+        if [a.shape for a in arrays] != list(shapes.values()):
+            raise ValueError(f"state does not fit a {n_features}-feature naive Bayes model")
+        return cls(*arrays)
 
-
-def _fit_naive_bayes(x: np.ndarray, y: np.ndarray, hp: dict[str, Any]) -> _FittedNaiveBayes:
-    alpha = float(hp["alpha"])
-    n_features = x.shape[1]
-    log_prior = np.zeros(2)
-    log_p1 = np.zeros((2, n_features))
-    log_p0 = np.zeros((2, n_features))
-    for c in (0, 1):
-        members = x[y == c]
-        theta = (members.sum(axis=0) + alpha) / (len(members) + 2.0 * alpha)
-        log_prior[c] = math.log(len(members) / len(x))
-        log_p1[c] = np.log(theta)
-        log_p0[c] = np.log(1.0 - theta)
-    return _FittedNaiveBayes(log_prior, log_p1, log_p0)
-
-
-# --------------------------------------------------------------------------
-# linear SVM (Pegasos)
 
 @dataclass
-class _FittedLinearSVM:
+class _LinearSVM:
+    """Linear SVM trained by Pegasos-style stochastic subgradient descent."""
+
     weights: np.ndarray  # length F + 1; last entry is the bias weight
+
+    defaults = {"lam": 1e-2, "epochs": 30}
+    grid = ({"lam": 1e-2, "epochs": 30}, {"lam": 1e-4, "epochs": 30})
+
+    @staticmethod
+    def check(hp: dict[str, Any]) -> None:
+        if float(hp["lam"]) <= 0 or int(hp["epochs"]) < 1:
+            raise ConfigError("lam must be > 0 and epochs >= 1")
+
+    @classmethod
+    def fit(cls, x: np.ndarray, y: np.ndarray, hp: dict[str, Any], seed: int) -> "_LinearSVM":
+        lam = float(hp["lam"])
+        epochs = int(hp["epochs"])
+        n_rows = x.shape[0]
+        xa = np.hstack([x.astype(np.float64), np.ones((n_rows, 1))])
+        yv = np.where(y == 1, 1.0, -1.0)
+        w = np.zeros(xa.shape[1])
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        t = 0
+        for _ in range(epochs):
+            for i in rng.permutation(n_rows):
+                t += 1
+                eta = 1.0 / (lam * t)
+                margin = yv[i] * (w @ xa[i])
+                w *= 1.0 - eta * lam
+                if margin < 1.0:
+                    w += eta * yv[i] * xa[i]
+        return cls(w)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         margin = x.astype(np.float64) @ self.weights[:-1] + self.weights[-1]
@@ -425,40 +475,32 @@ class _FittedLinearSVM:
         return {"weights": self.weights.tolist()}
 
     @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "_FittedLinearSVM":
-        return cls(np.array(state["weights"], dtype=np.float64))
+    def from_state(cls, state: dict[str, Any], n_features: int) -> "_LinearSVM":
+        weights = np.array(state["weights"], dtype=np.float64)
+        if weights.shape != (n_features + 1,):
+            raise ValueError(f"state does not fit a {n_features}-feature linear SVM")
+        return cls(weights)
 
-
-def _fit_linear_svm(
-    x: np.ndarray, y: np.ndarray, hp: dict[str, Any], seed: int
-) -> _FittedLinearSVM:
-    lam = float(hp["lam"])
-    epochs = int(hp["epochs"])
-    n_rows = x.shape[0]
-    xa = np.hstack([x.astype(np.float64), np.ones((n_rows, 1))])
-    yv = np.where(y == 1, 1.0, -1.0)
-    w = np.zeros(xa.shape[1])
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n_rows):
-            t += 1
-            eta = 1.0 / (lam * t)
-            margin = yv[i] * (w @ xa[i])
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                w += eta * yv[i] * xa[i]
-    return _FittedLinearSVM(w)
-
-
-# --------------------------------------------------------------------------
-# k nearest neighbours
 
 @dataclass
-class _FittedKNN:
+class _KNN:
+    """k nearest neighbours under Jaccard distance; the training rows are the model."""
+
     x: np.ndarray
     y: np.ndarray
     k: int
+
+    defaults = {"k": 5}
+    grid = ({"k": 1}, {"k": 5})
+
+    @staticmethod
+    def check(hp: dict[str, Any]) -> None:
+        if int(hp["k"]) < 1:
+            raise ConfigError("k must be >= 1")
+
+    @classmethod
+    def fit(cls, x: np.ndarray, y: np.ndarray, hp: dict[str, Any], seed: int) -> "_KNN":
+        return cls(x, y, int(hp["k"]))
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         inter = x.astype(np.int64) @ self.x.astype(np.int64).T
@@ -481,10 +523,34 @@ class _FittedKNN:
         }
 
     @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "_FittedKNN":
-        rows = [FeatureVector(tuple(row)) for row in state["rows"]]
-        x = feature_matrix(rows, int(state["n_features"]))
-        return cls(x, np.array(state["labels"], dtype=np.uint8), int(state["k"]))
+    def from_state(cls, state: dict[str, Any], n_features: int) -> "_KNN":
+        rows, labels = state["rows"], state["labels"]
+        if not (
+            all(type(i) is int for row in rows for i in row)
+            and len(labels) == len(rows)
+            and set(labels) <= {0, 1}
+            and int(state["k"]) >= 1
+            and int(state["n_features"]) == n_features
+        ):
+            raise ValueError(f"state does not fit a {n_features}-feature KNN model")
+        x = feature_matrix([FeatureVector(tuple(row)) for row in rows], n_features)
+        return cls(x, np.array(labels, dtype=np.uint8), int(state["k"]))
+
+
+_LEARNERS: dict[str, Any] = {
+    "ExtraTrees": _ExtraTrees,
+    "RandomForest": _RandomForest,
+    "NaiveBayes": _NaiveBayes,
+    "LinearSVM": _LinearSVM,
+    "KNN": _KNN,
+}
+ALGORITHMS = tuple(_LEARNERS)
+
+# Candidate grid for select_model: one entry per algorithm/setting the
+# comparison tables report, searched by inner cross-validation.
+DEFAULT_GRID: tuple[tuple[str, dict[str, Any]], ...] = tuple(
+    (name, hp) for name, learner in _LEARNERS.items() for hp in learner.grid
+)
 
 
 # --------------------------------------------------------------------------
@@ -505,32 +571,11 @@ class TrainedModel:
         return Label.ON_HOLD if score >= self.decision_threshold else Label.CROSS_REFERENCE
 
 
-def _validate_hyperparameters(algorithm: str, hp: dict[str, Any]) -> None:
-    try:
-        if algorithm in ("ExtraTrees", "RandomForest"):
-            if int(hp["n_trees"]) < 1:
-                raise ConfigError("n_trees must be >= 1")
-            if hp["max_depth"] is not None and int(hp["max_depth"]) < 1:
-                raise ConfigError("max_depth must be None or >= 1")
-        elif algorithm == "NaiveBayes":
-            if float(hp["alpha"]) <= 0:
-                raise ConfigError("alpha must be > 0")
-        elif algorithm == "LinearSVM":
-            if float(hp["lam"]) <= 0 or int(hp["epochs"]) < 1:
-                raise ConfigError("lam must be > 0 and epochs >= 1")
-        elif algorithm == "KNN":
-            if int(hp["k"]) < 1:
-                raise ConfigError("k must be >= 1")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad hyperparameters for {algorithm}: {exc}") from exc
-
-
 def train(
     dataset: Dataset,
     algorithm: str,
     hyperparameters: dict[str, Any] | None = None,
     seed: int = 0,
-    vocabulary: NGramVocabulary | None = None,
 ) -> TrainedModel:
     """Fit one classifier on the dataset.
 
@@ -545,55 +590,42 @@ def train(
             "training needs both classes; got "
             f"{counts[Label.ON_HOLD]} OnHold / {counts[Label.CROSS_REFERENCE]} CrossReference"
         )
-    hp = dict(DEFAULT_HYPERPARAMETERS[algorithm])
-    hp.update(hyperparameters or {})
-    _validate_hyperparameters(algorithm, hp)
-
-    x, y = dataset.x, dataset.y
-    if algorithm == "ExtraTrees":
-        impl: Any = _fit_forest(x, y, hp, seed, bootstrap=False)
-    elif algorithm == "RandomForest":
-        impl = _fit_forest(x, y, hp, seed, bootstrap=True)
-    elif algorithm == "NaiveBayes":
-        impl = _fit_naive_bayes(x, y, hp)
-    elif algorithm == "LinearSVM":
-        impl = _fit_linear_svm(x, y, hp, seed)
-    else:
-        impl = _FittedKNN(x, y, int(hp["k"]))
-
+    learner = _LEARNERS[algorithm]
+    hp = {**learner.defaults, **(hyperparameters or {})}
+    try:
+        learner.check(hp)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad hyperparameters for {algorithm}: {exc}") from exc
     return TrainedModel(
         algorithm=algorithm,
         hyperparameters=hp,
         n_features=dataset.n_features,
         decision_threshold=0.5,
         seed=seed,
-        vocabulary_hash=vocabulary_digest(vocabulary) if vocabulary is not None else None,
-        _impl=impl,
+        vocabulary_hash=None,
+        _impl=learner.fit(dataset.x, dataset.y, hp, seed),
     )
 
 
 def predict_proba_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
-    """Scores of the rows of a 0/1 matrix with the model's feature count."""
+    """Scores in [0, 1] of the rows of a 0/1 matrix with the model's feature count.
+
+    For the forests a score is the fraction of trees voting OnHold.
+    """
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ValueError(f"a {model.n_features}-feature model cannot score a {x.shape} matrix")
     return model._impl.predict_proba(x)
 
 
-def predict_proba(model: TrainedModel, vector: FeatureVector) -> float:
-    """Score in [0, 1]; for ensembles, the fraction of trees voting OnHold."""
-    return float(predict_proba_batch(model, feature_matrix([vector], model.n_features))[0])
+SMOTE_NEIGHBOURS = 5
 
 
-def classify(model: TrainedModel, vector: FeatureVector) -> Label:
-    return model.label(predict_proba(model, vector))
-
-
-def smote_oversample(dataset: Dataset, k: int = 5, seed: int = 0) -> Dataset:
+def smote_oversample(dataset: Dataset, seed: int = 0) -> Dataset:
     """Synthesize minority rows until the classes balance exactly.
 
     Each synthetic row lies on the segment between a minority row and
-    one of its k nearest minority neighbours (Euclidean on the dense
-    0/1 coordinates), re-binarized at 0.5.
+    one of its SMOTE_NEIGHBOURS nearest minority neighbours (Euclidean
+    on the dense 0/1 coordinates), re-binarized at 0.5.
     """
     on_hold = int(dataset.y.sum())
     minority_y = int(2 * on_hold < len(dataset))  # CrossReference on a tie
@@ -612,7 +644,7 @@ def smote_oversample(dataset: Dataset, k: int = 5, seed: int = 0) -> Dataset:
     sizes = dense.sum(axis=1)
     hamming = (sizes[:, None] + sizes[None, :] - 2.0 * (dense @ dense.T)).astype(np.int64)
     np.fill_diagonal(hamming, np.iinfo(np.int64).max)
-    k_eff = min(k, m - 1)
+    k_eff = min(SMOTE_NEIGHBOURS, m - 1)
     neighbour_table = np.argsort(hamming, axis=1, kind="stable")[:, :k_eff]
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -637,7 +669,6 @@ def select_model(
     candidate_grid: Sequence[tuple[str, dict[str, Any]]] | None = None,
     inner_k: int = 3,
     seed: int = 0,
-    vocabulary: NGramVocabulary | None = None,
 ) -> TrainedModel:
     """Pick the grid candidate with the best inner-CV mean F1.
 
@@ -671,71 +702,22 @@ def select_model(
 
     # max keeps the first of equal keys, so ties go to the earlier grid position.
     best = max(grid, key=mean_f1_auc) if splits else grid[0]
-    return train(train_fold, best[0], best[1], seed=seed, vocabulary=vocabulary)
+    return train(train_fold, best[0], best[1], seed=seed)
 
 
-def fit(
-    dataset: Dataset,
-    algorithm: str,
-    smote: bool = False,
-    seed: int = 0,
-    vocabulary: NGramVocabulary | None = None,
-) -> TrainedModel:
+def fit(dataset: Dataset, algorithm: str, smote: bool = False, seed: int = 0) -> TrainedModel:
     """Train one algorithm, or select one by inner CV for "auto"; SMOTE first if asked."""
     if smote:
         dataset = smote_oversample(dataset, seed=seed)
     if algorithm == "auto":
-        return select_model(dataset, seed=seed, vocabulary=vocabulary)
-    return train(dataset, algorithm, seed=seed, vocabulary=vocabulary)
+        return select_model(dataset, seed=seed)
+    return train(dataset, algorithm, seed=seed)
 
 
 # --------------------------------------------------------------------------
 # model persistence
 
 _MODEL_FORMAT = "onhold-model"
-_FITTED: dict[str, Any] = {
-    "ExtraTrees": _FittedForest,
-    "RandomForest": _FittedForest,
-    "NaiveBayes": _FittedNaiveBayes,
-    "LinearSVM": _FittedLinearSVM,
-    "KNN": _FittedKNN,
-}
-
-
-def _check_state(algorithm: str, state: dict[str, Any], n_features: int) -> None:
-    """Raise ValueError unless a saved state fits a model of n_features."""
-    if algorithm == "NaiveBayes":
-        shapes = {"log_prior": (2,), "log_p1": (2, n_features), "log_p0": (2, n_features)}
-        fits = all(np.shape(state[key]) == shape for key, shape in shapes.items())
-    elif algorithm == "LinearSVM":
-        fits = np.shape(state["weights"]) == (n_features + 1,)
-    elif algorithm == "KNN":
-        rows, labels = state["rows"], state["labels"]
-        fits = (
-            all(type(i) is int for row in rows for i in row)
-            and len(labels) == len(rows)
-            and set(labels) <= {0, 1}
-            and int(state["k"]) >= 1
-            and int(state["n_features"]) == n_features
-        )
-    else:
-        fits = bool(state["trees"]) and all(_tree_fits(t, n_features) for t in state["trees"])
-    if not fits:
-        raise ValueError(f"state does not fit a {n_features}-feature {algorithm} model")
-
-
-def _tree_fits(tree: dict[str, Any], n_features: int) -> bool:
-    """Leaves have no children; a split's children come after it, so no path loops."""
-    columns = [tree[key] for key in ("feature", "left", "right", "value")]
-    size = len(columns[0])
-    if size == 0 or any(len(column) != size for column in columns):
-        return False
-    for node, (f, lo, hi) in enumerate(zip(*columns[:3])):
-        leaf = f == lo == hi == _LEAF
-        split = 0 <= f < n_features and node < lo < size and node < hi < size
-        if not (all(type(v) is int for v in (f, lo, hi)) and (leaf or split)):
-            return False
-    return True
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -768,15 +750,18 @@ def load_model(path: str | Path) -> TrainedModel:
         raise ConfigError(f"{path}: unknown algorithm {algorithm!r}")
     try:
         n_features = int(payload["n_features"])
-        _check_state(algorithm, payload["state"], n_features)
+        threshold = float(payload["decision_threshold"])
+        # A NaN or out-of-range threshold would label every row alike.
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"decision_threshold {threshold!r} is not in [0, 1]")
         return TrainedModel(
             algorithm=algorithm,
             hyperparameters=payload["hyperparameters"],
             n_features=n_features,
-            decision_threshold=float(payload["decision_threshold"]),
+            decision_threshold=threshold,
             seed=int(payload["seed"]),
             vocabulary_hash=payload.get("vocabulary_hash"),
-            _impl=_FITTED[algorithm].from_state(payload["state"]),
+            _impl=_LEARNERS[algorithm].from_state(payload["state"], n_features),
         )
     except KeyError as exc:
         raise DataFormatError(f"{path}: model file lacks {exc}") from exc

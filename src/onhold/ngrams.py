@@ -168,11 +168,9 @@ def extract_terms(
     return NGramVocabulary(tuple(terms))
 
 
-def build_bow_vocabulary(
-    all_comments: Sequence[Sequence[str]], min_df: int = 1
-) -> NGramVocabulary:
+def build_bow_vocabulary(all_comments: Sequence[Sequence[str]]) -> NGramVocabulary:
     """Unigram vocabulary over all training comments (ablation baseline)."""
-    return extract_terms(all_comments, max_n=1, min_df=min_df)
+    return extract_terms(all_comments, max_n=1, min_df=1)
 
 
 def vectorize(comment: Sequence[str], vocab: NGramVocabulary) -> FeatureVector:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import onhold
-from onhold import datasetio, tracker
+from onhold import datasetio, learn, ngrams, tracker
 from onhold.cli import cli_main, load_project_config
 from onhold.errors import ConfigError
 from onhold.issues import TrackerKind
@@ -310,6 +310,11 @@ class TestPipeline:
         assert predicted["remove this workaround after HADOOP-102 is fixed"] == "OnHold"
         assert predicted["see HADOOP-201 for background"] == "CrossReference"
 
+    def test_train_stamps_the_vocabulary_digest(self, dataset_path, tmp_path):
+        model, vocab = self.train(dataset_path, tmp_path, "--algorithm", "auto")
+        expected = learn.vocabulary_digest(ngrams.load_vocabulary(vocab))
+        assert learn.load_model(model).vocabulary_hash == expected
+
     def test_classify_rejects_a_mismatched_vocabulary(self, dataset_path, tmp_path, capsys):
         model, _ = self.train(dataset_path, tmp_path)
         other_dir = tmp_path / "other"
@@ -329,8 +334,11 @@ class TestPipeline:
             lambda payload: payload.update(state={}),
             lambda payload: payload["state"].update(log_p1=[[0.0], [0.0]]),
             lambda payload: payload.update(version=2),
+            lambda payload: payload.update(decision_threshold=float("nan")),
+            lambda payload: payload.update(decision_threshold=2.0),
         ],
-        ids=["no-state", "empty-state", "wrong-shape", "version"],
+        ids=["no-state", "empty-state", "wrong-shape", "version", "nan-threshold",
+             "threshold-above-one"],
     )
     def test_malformed_model_file_is_a_user_error(
         self, dataset_path, tmp_path, capsys, corrupt
@@ -454,6 +462,27 @@ class TestPipeline:
         source.write_text(table, encoding="utf-8")
         return source
 
+    def test_check_does_not_read_the_raw_text_column(self, tmp_path):
+        # No finding reads raw_text, so a cell that is not a comment
+        # neither fails its row nor changes the findings.
+        outputs = []
+        for extra in ((), ("raw_text",)):
+            table = datasetio.format_table(
+                ("comment_text", "file_path", "issue_key", "label", *extra),
+                [["remove after HADOOP-6223", "src/A.java", "HADOOP-6223", "OnHold",
+                  *("remove after HADOOP-6223" for _ in extra)]],
+            )
+            source = tmp_path / "remaining.tsv"
+            source.write_text(table, encoding="utf-8")
+            out = tmp_path / "check.json"
+            code = cli_main(
+                ["check", "--input", str(source), "--fixtures", str(FIXTURE_DIR),
+                 "--out", str(out)]
+            )
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_check_reports_ready_comments_from_fixtures(self, tmp_path, capsys):
         source = self.check_input(tmp_path)
         out = tmp_path / "check.json"
@@ -523,8 +552,33 @@ class TestPipeline:
         assert code == 0
         assert sorted(requests) == [
             ("github", "apache/dubbo", "7"),
-            ("jira", "HADOOP", "HADOOP-1"),
+            ("jira", "", "HADOOP-1"),
         ]
+
+    def test_check_caches_a_jira_issue_once_whatever_the_project(self, tmp_path, monkeypatch):
+        # A Jira request does not depend on --project, so neither does its cache entry.
+        requests = []
+
+        def fetch(transport, config, key):
+            requests.append(key)
+            return 200, {"fields": {"status": {"name": "Open"}}}
+
+        monkeypatch.setattr(tracker.HttpTransport, "fetch", fetch)
+        table = datasetio.format_table(
+            ("comment_text", "issue_key", "tracker", "label"),
+            [["remove after HADOOP-1", "HADOOP-1", "jira", "OnHold"]],
+        )
+        source = tmp_path / "remaining.tsv"
+        source.write_text(table, encoding="utf-8")
+        for project in ("HADOOP", "HDFS"):
+            code = cli_main(
+                ["check", "--input", str(source), "--base-url", "https://issues.example.org",
+                 "--cache-dir", str(tmp_path / "cache"), "--tracker", "jira",
+                 "--project", project, "--out", str(tmp_path / f"{project}.json")]
+            )
+            assert code == 0
+        assert requests == ["HADOOP-1"]
+        assert len(list((tmp_path / "cache").iterdir())) == 1
 
     def test_check_rejects_two_github_repositories(self, tmp_path, capsys):
         fixtures = tmp_path / "fixtures"

@@ -21,13 +21,12 @@ from onhold.errors import ConfigError, DataFormatError, TrainingError
 from onhold.issues import derive_patterns
 from onhold.learn import (
     ALGORITHMS,
+    SMOTE_NEIGHBOURS,
     Label,
-    classify,
     feature_matrix,
     featurize,
     load_model,
     make_dataset,
-    predict_proba,
     predict_proba_batch,
     save_model,
     select_model,
@@ -42,6 +41,11 @@ from corpus import generate_corpus
 
 def fv(*indices: int) -> FeatureVector:
     return FeatureVector(tuple(indices))
+
+
+def score(model, vector: FeatureVector) -> float:
+    """The model's score of one row, through the batch scorer."""
+    return float(predict_proba_batch(model, feature_matrix([vector], model.n_features))[0])
 
 
 ON = Label.ON_HOLD
@@ -165,8 +169,8 @@ class TestNaiveBayesOracle:
         # posterior for x=[1] is 0.75, for x=[0] is 0.25.
         ds = dataset_from([((0,), ON), ((0,), ON), ((), CROSS), ((), CROSS)], 1)
         model = train(ds, "NaiveBayes")
-        assert predict_proba(model, fv(0)) == pytest.approx(0.75)
-        assert predict_proba(model, fv()) == pytest.approx(0.25)
+        assert score(model, fv(0)) == pytest.approx(0.75)
+        assert score(model, fv()) == pytest.approx(0.25)
 
     def test_symmetric_case_ties_positive(self):
         # One OnHold row [1,0] and one CrossReference row [0,1]: the probe
@@ -174,8 +178,8 @@ class TestNaiveBayesOracle:
         # tie-positive rule classifies OnHold.
         ds = dataset_from([((0,), ON), ((1,), CROSS)], 2)
         model = train(ds, "NaiveBayes")
-        assert predict_proba(model, fv(0, 1)) == pytest.approx(0.5)
-        assert classify(model, fv(0, 1)) is ON
+        assert score(model, fv(0, 1)) == pytest.approx(0.5)
+        assert model.label(score(model, fv(0, 1))) is ON
 
 
 class TestExpressiveness:
@@ -184,27 +188,27 @@ class TestExpressiveness:
         truth = [CROSS, ON, ON, CROSS]
 
         tree_model = train(XOR, "ExtraTrees", {"n_trees": 50})
-        tree_preds = [classify(tree_model, v) for v in probes]
+        tree_preds = [tree_model.label(score(tree_model, v)) for v in probes]
         assert tree_preds == truth
 
         svm_model = train(XOR, "LinearSVM")
         svm_hits = sum(
-            classify(svm_model, v) is t for v, t in zip(probes, truth)
+            svm_model.label(score(svm_model, v)) is t for v, t in zip(probes, truth)
         )
         assert svm_hits <= 3
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_every_algorithm_fits_the_separable_problem(self, algorithm):
         model = train(SEPARABLE, algorithm)
-        assert classify(model, fv(0)) is ON
-        assert classify(model, fv(1)) is CROSS
+        assert model.label(score(model, fv(0))) is ON
+        assert model.label(score(model, fv(1))) is CROSS
 
     def test_knn_votes_average_the_neighbourhood(self):
         ds = dataset_from([((0,), ON), ((1,), CROSS)], 2)
         model = train(ds, "KNN", {"k": 1})
-        assert predict_proba(model, fv(0)) == 1.0
+        assert score(model, fv(0)) == 1.0
         model2 = train(ds, "KNN", {"k": 2})
-        assert predict_proba(model2, fv(0)) == pytest.approx(0.5)
+        assert score(model2, fv(0)) == pytest.approx(0.5)
 
 
 class TestTrainValidation:
@@ -235,7 +239,7 @@ class TestTrainValidation:
     def test_prediction_outside_feature_space_is_rejected(self):
         model = train(SEPARABLE, "NaiveBayes")
         with pytest.raises(ValueError):
-            predict_proba(model, fv(7))
+            predict_proba_batch(model, feature_matrix([fv(2)], 3))
 
 
 class TestDeterminism:
@@ -322,6 +326,18 @@ class TestPersistence:
         with pytest.raises(DataFormatError, match=str(path)):
             load_model(path)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), 2.0, -0.5], ids=str)
+    def test_threshold_outside_the_unit_interval_is_a_data_format_error(
+        self, threshold, tmp_path
+    ):
+        path = tmp_path / "model.json"
+        save_model(train(XOR, "NaiveBayes"), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["decision_threshold"] = threshold
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=str(path)):
+            load_model(path)
+
     def test_file_that_is_not_json_is_a_data_format_error(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_bytes(b"\xff not json")
@@ -330,8 +346,9 @@ class TestPersistence:
 
     def test_vocabulary_hash_round_trips(self, tmp_path):
         vocab = extract_terms([["a", "b"], ["a", "b"]])
-        model = train(SEPARABLE, "NaiveBayes", vocabulary=vocab)
-        assert model.vocabulary_hash == vocabulary_digest(vocab)
+        model = train(SEPARABLE, "NaiveBayes")
+        assert model.vocabulary_hash is None
+        model.vocabulary_hash = vocabulary_digest(vocab)
         path = tmp_path / "model.json"
         save_model(model, path)
         assert load_model(path).vocabulary_hash == vocabulary_digest(vocab)
@@ -585,8 +602,8 @@ class TestSmote:
         ]
         # Repeated minority rows make distance ties for the stable sort.
         ds = dataset_from(pairs + pairs[:3], n_features=12)
-        balanced = smote_oversample(ds, k=3, seed=2)
-        assert balanced.rows[len(ds):] == reference_smote_rows(ds, k=3, seed=2)
+        balanced = smote_oversample(ds, seed=2)
+        assert balanced.rows[len(ds):] == reference_smote_rows(ds, k=SMOTE_NEIGHBOURS, seed=2)
 
     def test_provenance_is_tagged(self):
         assert smote_oversample(self.IMBALANCED).provenance.endswith("smote")
@@ -596,8 +613,8 @@ class TestSelectModel:
     def test_returns_a_refitted_model(self):
         model = select_model(SEPARABLE, inner_k=3, seed=0)
         assert model.algorithm in ALGORITHMS
-        assert classify(model, fv(0)) is ON
-        assert classify(model, fv(1)) is CROSS
+        assert model.label(score(model, fv(0))) is ON
+        assert model.label(score(model, fv(1))) is CROSS
 
     def test_grid_position_breaks_exact_ties(self):
         # Every candidate scores perfectly on this separable fold, so the
@@ -640,8 +657,3 @@ class TestSelectModel:
             fitted.add((model.algorithm, json.dumps(model.hyperparameters, sort_keys=True),
                         tuple(scores.tolist())))
         assert len(fitted) == 1
-
-    def test_vocabulary_hash_is_attached(self):
-        vocab = extract_terms([["a", "b"], ["a", "b"]])
-        model = select_model(SEPARABLE, inner_k=2, vocabulary=vocab)
-        assert model.vocabulary_hash == vocabulary_digest(vocab)

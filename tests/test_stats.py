@@ -460,11 +460,11 @@ class TestTsvRenderers:
         assert text.endswith("\n")
 
     def test_comparisons_tsv_shape(self):
-        rows = compare_folds(self.make_a(), self.make_b(), metrics=("f1",))
+        rows = compare_folds(self.make_a(), self.make_b())
         text = comparisons_tsv(rows)
         lines = text.splitlines()
         assert lines[0] == "pair\tmetric\tp\tadjusted_p\tcliffs_delta\tmagnitude"
-        assert len(lines) == 2
+        assert len(lines) == 5
 
     @staticmethod
     def make_a():
