@@ -7,6 +7,13 @@ linear SVM trained by Pegasos-style stochastic subgradient descent, and
 k-nearest-neighbours under Jaccard distance on feature index sets.
 Each is one class, listed once in ``_LEARNERS``, that fits, scores,
 saves and checks itself.  ``predict_proba_batch`` is the one scorer.
+It scores in chunks of ``SCORE_CHUNK_ROWS`` rows, so a learner's
+temporaries (naive Bayes's float copies of the query, KNN's query x
+training-row distances) are bounded by the chunk, not by the table.
+Every learner scores each row on its own, so chunking changes no
+score.  Naive Bayes and the SVM sum each row in a BLAS matrix-vector
+product; the tests check those sums bit for bit against one
+whole-matrix product at the chunk boundaries.
 
 ``featurize`` turns tokenized training comments into their vocabulary
 and ``Dataset``, for ``train`` and for each training fold of
@@ -607,14 +614,26 @@ def train(
     )
 
 
+# Rows per call to a learner's predict_proba: bounds the scoring temporaries.
+SCORE_CHUNK_ROWS = 1024
+
+
 def predict_proba_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     """Scores in [0, 1] of the rows of a 0/1 matrix with the model's feature count.
 
     For the forests a score is the fraction of trees voting OnHold.
+    The rows are scored SCORE_CHUNK_ROWS at a time.
     """
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ValueError(f"a {model.n_features}-feature model cannot score a {x.shape} matrix")
-    return model._impl.predict_proba(x)
+    # numpy multiplies a one-row matrix by a vector with a dot product,
+    # whose sum can differ in the last bit from the same row's in a
+    # matrix-vector product, so a lone last row joins the chunk before
+    # it.  An empty matrix is one empty chunk.
+    ends = [*range(SCORE_CHUNK_ROWS, len(x) - 1, SCORE_CHUNK_ROWS), len(x)]
+    return np.concatenate(
+        [model._impl.predict_proba(x[start:end]) for start, end in zip([0, *ends], ends)]
+    )
 
 
 SMOTE_NEIGHBOURS = 5

@@ -105,7 +105,9 @@ class NGramVocabulary:
 
     terms: tuple[NGramTerm, ...]
     _index: dict[TokenTuple, int] = field(init=False, repr=False, compare=False)
-    max_len: int = field(init=False, repr=False, compare=False)
+    # Every prefix of every term, the terms included: an n-gram outside
+    # it cannot be extended into a term.
+    _prefixes: frozenset[TokenTuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index = {term.tokens: i for i, term in enumerate(self.terms)}
@@ -113,7 +115,9 @@ class NGramVocabulary:
             raise ValueError("duplicate terms in vocabulary")
         object.__setattr__(self, "_index", index)
         object.__setattr__(
-            self, "max_len", max((len(t.tokens) for t in self.terms), default=0)
+            self,
+            "_prefixes",
+            frozenset(tokens[:n] for tokens in index for n in range(1, len(tokens) + 1)),
         )
 
     def __len__(self) -> int:
@@ -174,14 +178,24 @@ def build_bow_vocabulary(all_comments: Sequence[Sequence[str]]) -> NGramVocabula
 
 
 def vectorize(comment: Sequence[str], vocab: NGramVocabulary) -> FeatureVector:
-    """Binary occurrence vector: index i set iff term i occurs contiguously."""
+    """Binary occurrence vector: index i set iff term i occurs contiguously.
+
+    The n-grams starting at each token grow one token at a time, only
+    while they are still a prefix of some term.
+    """
     if len(vocab) == 0:
         raise ValueError("empty vocabulary")
+    tokens = tuple(comment)
+    index, prefixes = vocab._index, vocab._prefixes
     found = set()
-    for gram in enumerate_ngrams(comment, vocab.max_len):
-        idx = vocab.index_of(gram)
-        if idx is not None:
-            found.add(idx)
+    for start in range(len(tokens)):
+        for end in range(start + 1, len(tokens) + 1):
+            gram = tokens[start:end]
+            if gram not in prefixes:
+                break
+            idx = index.get(gram)
+            if idx is not None:
+                found.add(idx)
     return FeatureVector(tuple(sorted(found)))
 
 

@@ -10,6 +10,7 @@ package exists to detect.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Mapping
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -59,11 +60,40 @@ def _parse_lemma_table(data: str, location: str) -> dict[str, str]:
     return table
 
 
-def load_lemma_table(path: str | Path | None = None) -> dict[str, str]:
+class LemmaTable(Mapping[str, str]):
+    """A read-only token->lemma table that remembers the lemmas it computes.
+
+    ``lemma`` runs ``lemmatize`` once per distinct token, so its memo
+    holds one entry per distinct token and lives as long as the table.
+    Each table has its own memo.
+    """
+
+    def __init__(self, exceptions: Mapping[str, str]) -> None:
+        self._exceptions = dict(exceptions)
+        self._lemmas: dict[str, str] = {}
+
+    def __getitem__(self, token: str) -> str:
+        return self._exceptions[token]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._exceptions)
+
+    def __len__(self) -> int:
+        return len(self._exceptions)
+
+    def lemma(self, token: str) -> str:
+        """``lemmatize(token, self)``, remembered."""
+        lemma = self._lemmas.get(token)
+        if lemma is None:
+            lemma = self._lemmas[token] = lemmatize(token, self._exceptions)
+        return lemma
+
+
+def load_lemma_table(path: str | Path | None = None) -> LemmaTable:
     """Load a token->lemma table; ``None`` loads the bundled one."""
     if path is None:
-        return dict(_default_lemma_table())
-    return _parse_lemma_table(Path(path).read_text("utf-8"), str(path))
+        return LemmaTable(_default_lemma_table())
+    return LemmaTable(_parse_lemma_table(Path(path).read_text("utf-8"), str(path)))
 
 
 def _is_vowel(word: str, i: int) -> bool:
@@ -135,7 +165,7 @@ def _strip_once(token: str) -> str:
     return token
 
 
-def lemmatize(token: str, table: dict[str, str] | None = None) -> str:
+def lemmatize(token: str, table: Mapping[str, str] | None = None) -> str:
     """Map a lowercase alphabetic token to its lemma.
 
     Dictionary lemmas (irregular verbs/nouns plus guarded common words)
@@ -162,9 +192,15 @@ def lemmatize(token: str, table: dict[str, str] | None = None) -> str:
 def preprocess(
     comment_text: str,
     patterns: Patterns,
-    lemma_table: dict[str, str] | None = None,
+    lemma_table: Mapping[str, str] | None = None,
 ) -> TokenSequence:
-    """Full pipeline: abstract, lowercase, clean, tokenize, lemmatize."""
+    """Full pipeline: abstract, lowercase, clean, tokenize, lemmatize.
+
+    A ``LemmaTable`` lemmatizes each distinct token once; any other
+    table lemmatizes every token.
+    """
     abstracted = abstract_terms(comment_text, patterns)
-    cleaned = clean(abstracted.lower())
-    return [lemmatize(tok, lemma_table) for tok in cleaned.split()]
+    tokens = clean(abstracted.lower()).split()
+    if isinstance(lemma_table, LemmaTable):
+        return [lemma_table.lemma(tok) for tok in tokens]
+    return [lemmatize(tok, lemma_table) for tok in tokens]

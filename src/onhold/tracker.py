@@ -301,26 +301,34 @@ class IssueGateway:
         return self._read_disk(key) or self._fetch_uncached(key)
 
     def fetch_many(self, keys: Iterable[str]) -> dict[str, IssueRecord | None]:
-        """Fetch concurrently; failed keys map to None (warning logged).
+        """Fetch concurrently; failed keys map to None.
 
-        Auth rejections are not per-issue conditions and propagate
-        instead of being recorded as missing issues.
+        One warning per failed key is logged after every fetch is done,
+        in the order of ``keys``, so the log does not depend on thread
+        timing.  Auth rejections are not per-issue conditions and
+        propagate instead of being recorded as missing issues.
         """
         unique = list(dict.fromkeys(keys))
 
-        def one(key: str) -> tuple[str, IssueRecord | None]:
+        def one(key: str) -> IssueRecord | TrackerError:
             try:
-                return key, self.fetch(key)
+                return self.fetch(key)
             except TrackerAuthError:
                 raise
             except TrackerError as exc:
-                log.warning("skipping issue %s: %s", key, exc)
-                return key, None
+                return exc
 
         if not unique:
             return {}
         with ThreadPoolExecutor(max_workers=min(CONCURRENCY, len(unique))) as pool:
-            return dict(pool.map(one, unique))
+            outcomes = list(pool.map(one, unique))
+        records: dict[str, IssueRecord | None] = {}
+        for key, outcome in zip(unique, outcomes):
+            if isinstance(outcome, TrackerError):
+                log.warning("skipping issue %s: %s", key, outcome)
+                outcome = None
+            records[key] = outcome
+        return records
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from onhold.errors import ConfigError, DataFormatError, TrainingError
 from onhold.issues import derive_patterns
 from onhold.learn import (
     ALGORITHMS,
+    SCORE_CHUNK_ROWS,
     SMOTE_NEIGHBOURS,
     Label,
     feature_matrix,
@@ -514,6 +516,53 @@ class TestForestScoring:
         path = tmp_path / "model.json"
         save_model(model, path)
         assert predict_proba_batch(load_model(path), x).tolist() == scores.tolist()
+
+
+class TestChunkedScoring:
+    """``predict_proba_batch`` scores SCORE_CHUNK_ROWS rows at a time."""
+
+    C = SCORE_CHUNK_ROWS
+    HP = {"ExtraTrees": {"n_trees": 10}, "RandomForest": {"n_trees": 10}}
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_scores_equal_one_whole_matrix_call(self, algorithm):
+        ds, _ = noisy_forest_dataset()
+        model = train(ds, algorithm, self.HP.get(algorithm), seed=2)
+        rng = np.random.default_rng(11)
+        probes = (rng.random((5 * self.C // 2, ds.n_features)) < 0.04).astype(np.uint8)
+        for n_rows in (0, 1, self.C - 1, self.C, self.C + 1, 2 * self.C + 1, 5 * self.C // 2):
+            x = probes[:n_rows]
+            scores = predict_proba_batch(model, x)
+            whole = model._impl.predict_proba(x)
+            assert scores.shape == (n_rows,)
+            assert scores.dtype == whole.dtype
+            assert scores.tobytes() == whole.tobytes(), n_rows
+
+    @pytest.mark.parametrize("algorithm", ["NaiveBayes", "KNN"])
+    def test_memory_is_bounded_by_the_chunk(self, algorithm):
+        """Scoring 10,000 x 600 stays under 24 MiB of new allocations.
+
+        Whole-matrix scoring takes about 92 MiB for naive Bayes (two
+        float64 copies of the query) and 115 MiB for KNN (10,000 x 300
+        int64 intersections and distances); one 1,024-row chunk about 10.
+        """
+        rng = np.random.default_rng(3)
+        x = (rng.random((300, 600)) < 0.02).astype(np.uint8)
+        y = (rng.random(300) < 0.2).astype(np.uint8)
+        y[:2] = 0, 1
+        model = train(make_dataset(
+            [FeatureVector(tuple(np.flatnonzero(row).tolist())) for row in x],
+            [ON if v else CROSS for v in y], 600,
+        ), algorithm)
+        queries = (rng.random((10_000, 600)) < 0.02).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            scores = predict_proba_batch(model, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (10_000,)
+        assert peak < 24 * 2**20
 
 
 def reference_smote_rows(dataset, k, seed):

@@ -12,11 +12,12 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onhold.errors import DataFormatError
 from onhold.ngrams import (
+    MAX_NGRAM_LEN,
     CorpusStats,
     FeatureVector,
     NGramTerm,
@@ -184,6 +185,56 @@ class TestVectorize:
     def test_empty_vocabulary_is_rejected(self):
         with pytest.raises(ValueError):
             vectorize(["a"], NGramVocabulary(()))
+
+
+def reference_vectorize(comment, vocab):
+    """Look every n-gram of the comment up, up to the longest term's length."""
+    found = set()
+    max_len = max((len(term.tokens) for term in vocab), default=0)
+    for gram in enumerate_ngrams(comment, max_len):
+        idx = vocab.index_of(gram)
+        if idx is not None:
+            found.add(idx)
+    return FeatureVector(tuple(sorted(found)))
+
+
+def vocabulary_of(*terms):
+    """A vocabulary of these terms; each character of a string is one token."""
+    return NGramVocabulary(tuple(NGramTerm(tuple(t), 1, 1.0) for t in terms))
+
+
+TOKENS = ("a", "b", "c", "d")
+_WORDS = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=MAX_NGRAM_LEN).map(tuple)
+
+
+@st.composite
+def vocabularies_and_comments(draw):
+    """A vocabulary over four tokens, and a comment pieced from its terms and random words.
+
+    One term of two or more tokens has no shorter prefix among the terms.
+    """
+    terms = draw(st.lists(_WORDS, min_size=1, max_size=12, unique=True))
+    lone = draw(_WORDS.filter(lambda w: len(w) >= 2))
+    terms = [t for t in terms if t != lone[:len(t)]] + [lone]
+    pieces = draw(st.lists(st.one_of(st.sampled_from(terms), _WORDS), max_size=8))
+    return vocabulary_of(*terms), [tok for piece in pieces for tok in piece]
+
+
+class TestVectorizeAgreesWithTheReference:
+    """``vectorize`` grows n-grams only along term prefixes; the reference enumerates them all."""
+
+    @settings(max_examples=300)
+    @given(vocabularies_and_comments())
+    @example((vocabulary_of("abc", "bcd", "d"), list("aabcabcdcabcdd")))
+    @example((vocabulary_of("aaaa"), list("aaaaaaa")))
+    def test_equals_the_enumerating_reference(self, case):
+        vocab, comment = case
+        assert vectorize(comment, vocab) == reference_vectorize(comment, vocab)
+
+    def test_a_term_is_found_without_its_prefixes(self):
+        vocab = vocabulary_of("b", "abcd")
+        assert vectorize(list("aabcdb"), vocab).indices == (0, 1)
+        assert vectorize(list("abcab"), vocab).indices == (0,)
 
 
 class TestValidation:

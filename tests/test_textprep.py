@@ -12,7 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from onhold.errors import DataFormatError
+from onhold.issues import abstract_terms
 from onhold.textprep import (
+    LemmaTable,
     clean,
     lemmatize,
     load_lemma_table,
@@ -117,6 +119,11 @@ class TestLoadLemmaTable:
         path.write_text("# comment\n\nfoo\tbar\n", encoding="utf-8")
         assert load_lemma_table(path) == {"foo": "bar"}
 
+    def test_table_is_read_only(self):
+        table = load_lemma_table()
+        with pytest.raises(TypeError):
+            table["was"] = "is"  # type: ignore[index]
+
     def test_malformed_line_is_rejected_with_its_number(self, tmp_path):
         path = tmp_path / "lemmas.tsv"
         path.write_text("foo\tbar\nbroken line\n", encoding="utf-8")
@@ -153,3 +160,44 @@ class TestPreprocess:
             assert token
             assert token == token.lower()
             assert all(c.isascii() and (c.isalnum()) for c in token)
+
+
+class TestLemmaMemo:
+    """A ``LemmaTable`` remembers its lemmas; the tokens still map as ``lemmatize`` maps them."""
+
+    TEXT = (
+        "Was fixed after HADOOP-11938; sings, sang and singing: the meetings were "
+        "added, removed and added again. foo foo bar statuses DB2 waiting"
+    )
+
+    def per_token(self, text, patterns, table):
+        tokens = clean(abstract_terms(text, patterns).lower()).split()
+        return [lemmatize(tok, table) for tok in tokens]
+
+    @pytest.mark.parametrize("source", ["bundled", "custom"])
+    def test_equals_a_per_token_lemmatize_loop(self, jira_patterns, tmp_path, source):
+        if source == "bundled":
+            table = load_lemma_table()
+        else:
+            path = tmp_path / "lemmas.tsv"
+            path.write_text("foo\tbaz\nsang\tsong\nmeet\tgather\n", encoding="utf-8")
+            table = load_lemma_table(path)
+        expected = self.per_token(self.TEXT, jira_patterns, dict(table))
+        assert "abstractissueid" in expected
+        assert preprocess(self.TEXT, jira_patterns, table) == expected
+        # Second pass: every token now comes from the memo.
+        assert preprocess(self.TEXT, jira_patterns, table) == expected
+
+    @given(st.text(alphabet="abdeginrsy XZ2-", max_size=80))
+    def test_random_text_equals_the_loop(self, jira_patterns, text):
+        table = load_lemma_table()
+        expected = self.per_token(text, jira_patterns, None)
+        assert preprocess(text, jira_patterns, table) == expected
+        assert preprocess(text, jira_patterns, table) == expected
+
+    def test_two_tables_keep_their_own_lemmas(self, jira_patterns):
+        plain, custom = LemmaTable({}), LemmaTable({"foo": "baz", "does": "do"})
+        for _ in range(2):
+            assert preprocess("foo does", jira_patterns, plain) == ["foo", "doe"]
+            assert preprocess("foo does", jira_patterns, custom) == ["baz", "do"]
+        assert preprocess("foo does", jira_patterns, load_lemma_table()) == ["foo", "do"]

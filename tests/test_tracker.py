@@ -9,7 +9,9 @@ combination is written out with its expected verdict.
 from __future__ import annotations
 
 import json
+import logging
 import tempfile
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -453,6 +455,25 @@ class TestGatewayCaching:
         gateway = IssueGateway(TrackerConfig(tracker=JIRA, fixture_dir=tmp_path))
         with pytest.raises(TrackerAuthError):
             gateway.fetch_many(["HADOOP-1"])
+
+    def test_skip_warnings_follow_the_key_order(self, caplog):
+        keys = [f"HADOOP-{i}" for i in range(1, 10)]
+        missing = keys[::2]
+
+        class SlowFirstTransport:
+            """404s the missing keys; earlier keys answer later, so threads finish out of order."""
+
+            def fetch(self, config, key):
+                time.sleep(0.005 * (len(keys) - keys.index(key)))
+                return (404, {}) if key in missing else (200, JIRA_OK)
+
+        gateway = IssueGateway(TrackerConfig(tracker=JIRA, base_url="https://x"),
+                               SlowFirstTransport())
+        with caplog.at_level(logging.WARNING, logger="onhold.tracker"):
+            results = gateway.fetch_many(keys)
+        assert [key for key, record in results.items() if record is None] == missing
+        assert [r.args[0] for r in caplog.records] == missing
+        assert all(r.getMessage().startswith("skipping issue ") for r in caplog.records)
 
     def test_disk_cache_survives_gateway_instances(self, tmp_path):
         cache = tmp_path / "cache"
