@@ -185,10 +185,23 @@ def vocabulary_digest(vocab: NGramVocabulary) -> str:
 _LEAF = -1
 
 
+_BIT_WEIGHTS = (1 << np.arange(8)).astype(np.uint8)
+
+
 def _column_bits(x: np.ndarray) -> list[int]:
-    """One int per column of a 0/1 matrix; bit i of int j is x[i, j]."""
-    packed = np.packbits(x, axis=0, bitorder="little")
-    return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
+    """One int per column of a 0/1 matrix; bit i of int j is x[i, j].
+
+    Each group of 8 rows (zero-padded) packs into one byte per column as
+    a weighted sum, so column j's bytes are row j of ``packed``.
+    """
+    n_rows, n_cols = x.shape
+    groups = -(-n_rows // 8)
+    padded = np.zeros((groups * 8, n_cols), dtype=np.uint8)
+    padded[:n_rows] = x
+    packed = np.einsum("gbf,b->fg", padded.reshape(groups, 8, n_cols), _BIT_WEIGHTS,
+                       dtype=np.uint8)
+    data = packed.tobytes()
+    return [int.from_bytes(data[j * groups:(j + 1) * groups], "little") for j in range(n_cols)]
 
 
 @dataclass
@@ -510,7 +523,11 @@ class _KNN:
         return cls(x, y, int(hp["k"]))
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        inter = x.astype(np.int64) @ self.x.astype(np.int64).T
+        # A float32 BLAS product counts exactly while counts stay below
+        # 2**24, and no intersection exceeds the feature count.
+        if self.x.shape[1] >= 1 << 24:
+            raise ValueError("KNN cannot count intersections of 2**24 or more features exactly")
+        inter = (x.astype(np.float32) @ self.x.astype(np.float32).T).astype(np.int64)
         sizes_q = x.sum(axis=1, dtype=np.int64)[:, None]
         sizes_t = self.x.sum(axis=1, dtype=np.int64)[None, :]
         union = sizes_q + sizes_t - inter

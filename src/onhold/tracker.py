@@ -5,11 +5,14 @@ against recorded fixture files ({tracker}_{KEY}.json) with zero network
 traffic.  Auth tokens come only from the environment (ITS_GITHUB_TOKEN,
 ITS_JIRA_TOKEN, ITS_BUGZILLA_TOKEN), never from configuration files.
 
-A disk-cache entry is the tracker's own answer with its fetch time,
-``{"fetched_at": ..., "payload": ...}``, and a hit goes through the same
-parser as a fresh answer.  An answer of the wrong shape (not a JSON
-object, or a bad date) skips that issue with a warning, like a missing
-issue, and is not cached.  ``recommend`` turns each remaining comment
+The disk cache is one JSON file per tracker and server,
+``{tracker}_{server digest}.json``, mapping each issue key to the
+tracker's own answer with its fetch time, ``{"fetched_at": ...,
+"payload": ...}``.  A hit goes through the same parser as a fresh
+answer.  Saving merges with the file on disk and drops expired
+entries.  An answer of the wrong shape (not a JSON object, or a bad
+date) skips that issue with a warning, like a missing issue, and is
+not cached.  ``recommend`` turns each remaining comment
 into a ``Recommendation``: one finding of ``data/report.schema.json``.
 """
 
@@ -197,7 +200,9 @@ class IssueGateway:
     """Fetches issue records through an optional on-disk cache.
 
     ``fetch_many`` asks for each distinct key once; the disk cache
-    (TTL-bounded) carries records across runs.  Retries with
+    (TTL-bounded, one file per tracker and server) carries records
+    across runs.  ``fetch_many`` reads that file once before its pool
+    starts and writes it once after the pool is done.  Retries with
     exponential backoff cover rate limits and transient server errors.
     """
 
@@ -217,45 +222,67 @@ class IssueGateway:
             self.transport = HttpTransport()
         self._sleep = sleep
         self._clock = clock or (lambda: datetime.now(timezone.utc))
+        # While fetch_many runs: the cache file's entries as read before
+        # its pool started, and the fresh entries waiting to be saved.
+        self._batch: tuple[dict[str, Any], dict[str, Any]] | None = None
 
     # -- disk cache -------------------------------------------------
 
-    def _cache_path(self, key: str) -> Path | None:
-        """{tracker}_{server digest}_{key}.json: equal keys of two servers stay apart."""
+    def _cache_path(self) -> Path | None:
+        """{tracker}_{server digest}.json: equal keys of two servers stay apart."""
         if self.config.cache_dir is None:
             return None
         server = hashlib.blake2b(
             json.dumps([self.config.base_url, self.config.repo]).encode("utf-8"), digest_size=8
         ).hexdigest()
-        return Path(self.config.cache_dir) / f"{self.config.tracker.value}_{server}_{key}.json"
+        return Path(self.config.cache_dir) / f"{self.config.tracker.value}_{server}.json"
 
-    def _read_disk(self, key: str) -> IssueRecord | None:
+    def _load_entries(self) -> dict[str, Any]:
+        """The cache file's entries by issue key; an unreadable file holds none."""
+        path = self._cache_path()
+        if path is None:
+            return {}
+        try:
+            entries = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return {}
+        return entries if isinstance(entries, dict) else {}
+
+    def _expired(self, entry: Any) -> bool:
+        """Whether the entry is past its TTL; one without a readable fetch time is."""
+        try:
+            fetched_at = parse_timestamp(entry["fetched_at"])
+            return (self._clock() - fetched_at).total_seconds() > CACHE_TTL_SECONDS
+        except (ValueError, KeyError, TypeError, AttributeError):
+            return True
+
+    def _read_entry(self, entries: Mapping[str, Any], key: str) -> IssueRecord | None:
         """The cached record, or None when the entry is missing, expired or unparsable."""
-        path = self._cache_path(key)
-        if path is None or not path.exists():
+        entry = entries.get(key)
+        if entry is None or self._expired(entry):
             return None
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-            fetched_at = parse_timestamp(entry["fetched_at"])
-            record = _parse_payload(self.config.tracker, key, entry["payload"])
-        except (ValueError, KeyError, TypeError, AttributeError, TrackerError):
+            return _parse_payload(self.config.tracker, key, entry["payload"])
+        except (KeyError, TrackerError):
             return None
-        if (self._clock() - fetched_at).total_seconds() > CACHE_TTL_SECONDS:
-            return None
-        return record
 
-    def _write_disk(self, key: str, payload: object, fetched_at: datetime) -> None:
-        path = self._cache_path(key)
-        if path is None:
+    def _save(self, fresh: Mapping[str, Any]) -> None:
+        """Merge fresh entries into the cache file and drop expired ones.
+
+        The file is read again just before it is replaced, so a concurrent
+        ``check`` loses at most what it fetched in that window; a temp file
+        renamed over the old one means no reader sees half a file.
+        """
+        path = self._cache_path()
+        if path is None or not fresh:
             return
+        entries = {**self._load_entries(), **fresh}
+        kept = {key: entry for key, entry in entries.items() if not self._expired(entry)}
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"fetched_at": format_timestamp(fetched_at), "payload": payload}
-        # fetch_many writes from several threads: write a private temp
-        # file, then rename it over the entry, so no reader sees half a file.
         fd, temp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, sort_keys=True))
+                handle.write(json.dumps(kept, sort_keys=True))
             os.replace(temp, path)
         except BaseException:
             os.unlink(temp)
@@ -263,8 +290,11 @@ class IssueGateway:
 
     # -- fetching ---------------------------------------------------
 
-    def _fetch_uncached(self, key: str) -> IssueRecord:
-        """Ask the transport, retrying rate limits and server errors; cache the answer."""
+    def _fetch_uncached(self, key: str) -> tuple[IssueRecord, dict[str, Any]]:
+        """Ask the transport, retrying rate limits and server errors.
+
+        Returns the record and the cache entry of its answer.
+        """
         env_var = _TOKEN_ENV[self.config.tracker]
         delay = 1.0
         attempts = 0
@@ -294,11 +324,26 @@ class IssueGateway:
                     f"{self.config.tracker.value} issue {key}: HTTP {status_code}"
                 )
             record = _parse_payload(self.config.tracker, key, payload)
-            self._write_disk(key, payload, self._clock())
-            return record
+            return record, {"fetched_at": format_timestamp(self._clock()), "payload": payload}
 
     def fetch(self, key: str) -> IssueRecord:
-        return self._read_disk(key) or self._fetch_uncached(key)
+        """The issue's record, from the cache when it holds a fresh entry.
+
+        Inside ``fetch_many`` the cache file is the one read before its
+        pool started, and a fresh answer waits there to be saved; a lone
+        call reads the file and saves its answer itself.
+        """
+        batch = self._batch
+        entries = batch[0] if batch is not None else self._load_entries()
+        record = self._read_entry(entries, key)
+        if record is not None:
+            return record
+        record, entry = self._fetch_uncached(key)
+        if batch is not None:
+            batch[1][key] = entry
+        else:
+            self._save({key: entry})
+        return record
 
     def fetch_many(self, keys: Iterable[str]) -> dict[str, IssueRecord | None]:
         """Fetch concurrently; failed keys map to None.
@@ -320,8 +365,14 @@ class IssueGateway:
 
         if not unique:
             return {}
-        with ThreadPoolExecutor(max_workers=min(CONCURRENCY, len(unique))) as pool:
-            outcomes = list(pool.map(one, unique))
+        self._batch = (self._load_entries(), {})
+        try:
+            with ThreadPoolExecutor(max_workers=min(CONCURRENCY, len(unique))) as pool:
+                outcomes = list(pool.map(one, unique))
+        finally:
+            fresh = self._batch[1]
+            self._batch = None
+            self._save(fresh)
         records: dict[str, IssueRecord | None] = {}
         for key, outcome in zip(unique, outcomes):
             if isinstance(outcome, TrackerError):

@@ -438,8 +438,8 @@ class TestPipeline:
         findings = json.loads(out.read_text(encoding="utf-8"))["findings"]
         assert [f["issue_key"] for f in findings] == ["HADOOP-6223"]
         assert "skipping issue HADOOP-1: jira issue HADOOP-1: malformed response" in caplog.text
-        assert [path.name.endswith("_HADOOP-6223.json")
-                for path in (tmp_path / "cache").iterdir()] == [True]
+        (cache_file,) = (tmp_path / "cache").iterdir()
+        assert list(json.loads(cache_file.read_text(encoding="utf-8"))) == ["HADOOP-6223"]
 
     def check_input(self, tmp_path) -> Path:
         table = datasetio.format_table(
@@ -579,6 +579,32 @@ class TestPipeline:
             assert code == 0
         assert requests == ["HADOOP-1"]
         assert len(list((tmp_path / "cache").iterdir())) == 1
+
+    def test_check_cold_writes_one_cache_file_per_tracker_and_server(self, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        rows = []
+        for kind, payload in (("github", {"state": "open"}),
+                              ("bugzilla", {"bugs": [{"status": "NEW", "resolution": ""}]})):
+            for key in ("7", "8", "9"):
+                (fixtures / f"{kind}_{key}.json").write_text(json.dumps(payload),
+                                                             encoding="utf-8")
+                rows.append([f"remove after issue {key}", key, kind, "OnHold"])
+        source = tmp_path / "remaining.tsv"
+        source.write_text(
+            datasetio.format_table(("comment_text", "issue_key", "tracker", "label"), rows),
+            encoding="utf-8",
+        )
+        cache = tmp_path / "cache"
+        code = cli_main(
+            ["check", "--input", str(source), "--fixtures", str(fixtures),
+             "--cache-dir", str(cache), "--out", str(tmp_path / "check.json")]
+        )
+        assert code == 0
+        files = sorted(cache.iterdir())
+        assert [path.name.split("_")[0] for path in files] == ["bugzilla", "github"]
+        for path in files:
+            assert sorted(json.loads(path.read_text(encoding="utf-8"))) == ["7", "8", "9"]
 
     def test_check_rejects_two_github_repositories(self, tmp_path, capsys):
         fixtures = tmp_path / "fixtures"

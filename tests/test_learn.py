@@ -36,6 +36,7 @@ from onhold.learn import (
     train,
     vocabulary_digest,
 )
+from onhold.learn import _column_bits
 from onhold.ngrams import FeatureVector, build_bow_vocabulary, extract_terms, vectorize
 
 from corpus import generate_corpus
@@ -516,6 +517,34 @@ class TestForestScoring:
         path = tmp_path / "model.json"
         save_model(model, path)
         assert predict_proba_batch(load_model(path), x).tolist() == scores.tolist()
+
+
+class TestExactArithmetic:
+    """Column packing and KNN intersections equal plain integer references."""
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 8, 9, 200])
+    def test_column_bits_match_a_per_bit_loop(self, n_rows):
+        x = (np.random.default_rng(n_rows).random((n_rows, 13)) < 0.3).astype(np.uint8)
+        assert _column_bits(x) == [
+            sum(1 << i for i in range(n_rows) if x[i, j]) for j in range(13)
+        ]
+
+    def test_knn_scores_match_int64_intersections(self):
+        rng = np.random.default_rng(5)
+        x = (rng.random((300, 600)) < 0.05).astype(np.uint8)
+        y = (rng.random(300) < 0.3).astype(np.uint8)
+        model = train(make_dataset(
+            [FeatureVector(tuple(np.flatnonzero(row).tolist())) for row in x],
+            [ON if v else CROSS for v in y], 600,
+        ), "KNN", {"k": 5})
+        queries = (rng.random((700, 600)) < 0.05).astype(np.uint8)
+        known = model._impl.x.astype(np.int64)
+        inter = queries.astype(np.int64) @ known.T
+        union = queries.sum(axis=1)[:, None] + known.sum(axis=1)[None, :] - inter
+        distance = 1.0 - np.where(union > 0, inter / np.maximum(union, 1), 1.0)
+        neighbours = np.argsort(distance, axis=1, kind="stable")[:, :5]
+        expected = model._impl.y[neighbours].mean(axis=1)
+        assert predict_proba_batch(model, queries).tobytes() == expected.tobytes()
 
 
 class TestChunkedScoring:

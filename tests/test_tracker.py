@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import sys
 import tempfile
+import threading
 import time
 from datetime import datetime, timedelta, timezone
 
@@ -142,6 +145,23 @@ class ScriptedTransport:
 
 def fixture_config(**kwargs) -> TrackerConfig:
     return TrackerConfig(tracker=JIRA, fixture_dir=FIXTURE_DIR, **kwargs)
+
+
+def cached(gateway: IssueGateway) -> dict:
+    """The entries of the gateway's cache file, by issue key."""
+    return json.loads(gateway._cache_path().read_text(encoding="utf-8"))
+
+
+class CountingReplace:
+    """Stands in for ``os.replace``; records the calling thread of each call."""
+
+    def __init__(self, monkeypatch):
+        self.threads = []
+        monkeypatch.setattr(os, "replace", self)
+
+    def __call__(self, source, target):
+        self.threads.append(threading.current_thread())
+        os.rename(source, target)
 
 
 JIRA_OK = {
@@ -446,8 +466,7 @@ class TestGatewayCaching:
         results = gateway.fetch_many(["HADOOP-1", "HADOOP-2"])
         assert results["HADOOP-1"] is None
         assert results["HADOOP-2"].raw_status == "Resolved"
-        assert not gateway._cache_path("HADOOP-1").exists()
-        assert gateway._cache_path("HADOOP-2").exists()
+        assert list(cached(gateway)) == ["HADOOP-2"]
 
     def test_fetch_many_propagates_auth_errors(self, tmp_path):
         path = tmp_path / "jira_HADOOP-1.json"
@@ -530,16 +549,41 @@ class TestGatewayCaching:
     def test_corrupt_cache_entry_refetches(self, entry, tmp_path):
         transport = CountingTransport(FixtureTransport(FIXTURE_DIR))
         gateway = IssueGateway(fixture_config(cache_dir=tmp_path), transport)
-        gateway._cache_path("HADOOP-6223").write_text(entry, encoding="utf-8")
+        # "not json" makes the whole file unreadable; the others are one bad entry.
+        gateway._cache_path().write_text('{"HADOOP-6223": %s}' % entry, encoding="utf-8")
         assert gateway.fetch("HADOOP-6223").raw_status == "Resolved"
         assert transport.calls == 1
+        assert cached(gateway)["HADOOP-6223"]["payload"]["fields"]["status"]["name"] == "Resolved"
+
+    @pytest.mark.parametrize("text", ["", "not json", "[]", '"HADOOP-6223"'],
+                             ids=["empty", "not-json", "list", "string"])
+    def test_unreadable_cache_file_is_a_miss_and_is_replaced(self, text, tmp_path):
+        transport = CountingTransport(FixtureTransport(FIXTURE_DIR))
+        gateway = IssueGateway(fixture_config(cache_dir=tmp_path), transport)
+        gateway._cache_path().write_text(text, encoding="utf-8")
+        assert gateway.fetch_many(["HADOOP-6223"])["HADOOP-6223"].raw_status == "Resolved"
+        assert transport.calls == 1
+        assert list(cached(gateway)) == ["HADOOP-6223"]
+
+    def test_old_per_key_cache_files_are_ignored(self, tmp_path):
+        transport = CountingTransport(FixtureTransport(FIXTURE_DIR))
+        gateway = IssueGateway(fixture_config(cache_dir=tmp_path), transport, clock=lambda: NOW)
+        old = tmp_path / f"{gateway._cache_path().stem}_HADOOP-6223.json"
+        old.write_text(json.dumps({"fetched_at": format_timestamp(NOW), "payload": JIRA_OK}),
+                       encoding="utf-8")
+        gateway.fetch("HADOOP-6223")
+        assert transport.calls == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            [old.name, gateway._cache_path().name]
+        )
 
     def test_cache_entry_holds_the_answer_and_its_fetch_time(self, tmp_path):
         gateway = IssueGateway(fixture_config(cache_dir=tmp_path), clock=lambda: NOW)
         gateway.fetch("HADOOP-6223")
-        entry = json.loads(gateway._cache_path("HADOOP-6223").read_text(encoding="utf-8"))
         recorded = json.loads((FIXTURE_DIR / "jira_HADOOP-6223.json").read_text(encoding="utf-8"))
-        assert entry == {"fetched_at": format_timestamp(NOW), "payload": recorded}
+        assert cached(gateway) == {
+            "HADOOP-6223": {"fetched_at": format_timestamp(NOW), "payload": recorded}
+        }
 
     @pytest.mark.parametrize(
         "kind,key,payload",
@@ -578,9 +622,85 @@ class TestGatewayCaching:
         warm = IssueGateway(fixture_config(cache_dir=cache), warm_transport)
         assert all(warm.fetch_many(keys).values())
         assert warm_transport.calls == 0
-        assert sorted(path.name for path in cache.iterdir()) == sorted(
-            warm._cache_path(key).name for key in keys
+        assert [path.name for path in cache.iterdir()] == [warm._cache_path().name]
+        assert sorted(cached(warm)) == sorted(keys)
+
+    def test_fetch_many_writes_the_cache_file_once_from_its_own_thread(self, tmp_path,
+                                                                       monkeypatch):
+        replaces = CountingReplace(monkeypatch)
+        keys = [f"HADOOP-{i}" for i in range(12)]
+        cold = IssueGateway(
+            fixture_config(cache_dir=tmp_path), ScriptedTransport([(200, JIRA_OK)] * len(keys))
         )
+        assert all(cold.fetch_many(keys).values())
+        assert replaces.threads == [threading.current_thread()]
+        warm = IssueGateway(fixture_config(cache_dir=tmp_path), ScriptedTransport([]))
+        assert all(warm.fetch_many(keys).values())
+        assert len(replaces.threads) == 1
+
+    def test_fetch_many_keeps_every_fresh_entry_under_thread_switching(self, tmp_path):
+        class AlwaysOk:
+            def fetch(self, config, key):
+                return 200, JIRA_OK
+
+        keys = [f"HADOOP-{i}" for i in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            gateway = IssueGateway(fixture_config(cache_dir=tmp_path), AlwaysOk())
+            assert all(gateway.fetch_many(keys).values())
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(cached(gateway)) == sorted(keys)
+
+    def test_a_lone_fetch_writes_at_most_once(self, tmp_path, monkeypatch):
+        replaces = CountingReplace(monkeypatch)
+        gateway = IssueGateway(fixture_config(cache_dir=tmp_path))
+        gateway.fetch("HADOOP-6223")
+        assert len(replaces.threads) == 1
+        gateway.fetch("HADOOP-6223")
+        assert len(replaces.threads) == 1
+        assert list(cached(gateway)) == ["HADOOP-6223"]
+
+    def test_two_gateways_on_one_directory_keep_both_key_sets(self, tmp_path):
+        first_keys = [f"HADOOP-{i}" for i in range(1, 4)]
+        second_keys = [f"HADOOP-{i}" for i in range(11, 14)]
+        second = IssueGateway(
+            fixture_config(cache_dir=tmp_path),
+            ScriptedTransport([(200, JIRA_OK)] * len(second_keys)),
+        )
+
+        class InterleavingTransport:
+            """Lets the second gateway fetch and save while the first is mid-batch."""
+
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.started = False
+
+            def fetch(self, config, key):
+                with self.lock:
+                    if not self.started:
+                        self.started = True
+                        assert all(second.fetch_many(second_keys).values())
+                return 200, JIRA_OK
+
+        first = IssueGateway(fixture_config(cache_dir=tmp_path), InterleavingTransport())
+        assert all(first.fetch_many(first_keys).values())
+        assert sorted(cached(first)) == sorted(first_keys + second_keys)
+        warm_transport = ScriptedTransport([])
+        warm = IssueGateway(fixture_config(cache_dir=tmp_path), warm_transport)
+        assert all(warm.fetch_many(first_keys + second_keys).values())
+        assert warm_transport.calls == 0
+
+    def test_expired_entries_are_dropped_on_save(self, tmp_path):
+        config = fixture_config(cache_dir=tmp_path)
+        early = IssueGateway(config, ScriptedTransport([(200, JIRA_OK)]),
+                             clock=lambda: NOW - timedelta(days=2))
+        early.fetch_many(["HADOOP-1"])
+        assert list(cached(early)) == ["HADOOP-1"]
+        late = IssueGateway(config, ScriptedTransport([(200, JIRA_OK)]), clock=lambda: NOW)
+        late.fetch_many(["HADOOP-2"])
+        assert list(cached(late)) == ["HADOOP-2"]
 
 
 JSON_LEAVES = (
@@ -604,29 +724,32 @@ ANSWER_KEYS = st.sampled_from(
 
 
 class TestFuzzedCacheEntries:
-    """Whatever a cache file holds, ``fetch`` answers and never raises."""
+    """Whatever a cache file or entry holds, ``fetch`` answers and never raises."""
 
-    def fetch_over(self, entry_text: str) -> tuple[IssueRecord, CountingTransport]:
+    def fetch_over(self, file_text: str) -> tuple[IssueRecord, CountingTransport]:
         with tempfile.TemporaryDirectory() as cache:
             transport = CountingTransport(FixtureTransport(FIXTURE_DIR))
             gateway = IssueGateway(fixture_config(cache_dir=cache), transport, clock=lambda: NOW)
-            gateway._cache_path("HADOOP-6223").write_text(entry_text, encoding="utf-8")
+            gateway._cache_path().write_text(file_text, encoding="utf-8")
             return gateway.fetch("HADOOP-6223"), transport
 
-    # Keys of at most six characters never spell "fetched_at" or "payload".
+    # Keys of at most six characters never spell "fetched_at", "payload"
+    # or "HADOOP-6223", so the value is a miss as the whole file and as
+    # the issue's entry.
     @settings(deadline=None)
     @given(json_values(st.text(max_size=6)))
-    def test_arbitrary_json_is_a_miss(self, entry):
-        rec, transport = self.fetch_over(json.dumps(entry))
-        assert transport.calls == 1
-        assert rec.raw_status == "Resolved"
+    def test_arbitrary_json_is_a_miss(self, value):
+        for file_value in (value, {"HADOOP-6223": value}):
+            rec, transport = self.fetch_over(json.dumps(file_value))
+            assert transport.calls == 1
+            assert rec.raw_status == "Resolved"
 
     @settings(deadline=None)
     @given(json_values(ANSWER_KEYS))
     @example({"fields": {"status": {"name": "Open"}, "resolution": {"name": "Fixed"}}})
     def test_a_fresh_entry_is_a_well_typed_hit_or_a_miss(self, payload):
         entry = {"fetched_at": format_timestamp(NOW), "payload": payload}
-        rec, transport = self.fetch_over(json.dumps(entry))
+        rec, transport = self.fetch_over(json.dumps({"HADOOP-6223": entry}))
         if transport.calls == 1:
             assert rec.raw_status == "Resolved"
         else:
