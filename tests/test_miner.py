@@ -7,13 +7,17 @@ commit dates, then asserts the exact lifecycles the miner must report.
 from __future__ import annotations
 
 import io
-from datetime import datetime, timezone
+import random
+import subprocess
+from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
 import pytest
 
 from onhold.errors import ConfigError
-from onhold.issues import TrackerKind
+from onhold.issues import TrackerKind, find_issue_references
+from onhold.javalex import extract_comments, normalize_whitespace
 from onhold.miner import (
     ChangedFile,
     CommentLifecycle,
@@ -395,6 +399,167 @@ class TestTraceLifecycles:
         history = walk_history(git_sandbox.root)
         lives = trace_lifecycles(git_sandbox.root, history, jira_patterns)
         assert lives == self.mine(git_sandbox, jira_patterns)
+
+
+def _detect_every_block(root, history, patterns, include_tests):
+    """Reference tracer: reads each blob alone and detects every block anew."""
+    active: dict[str, dict[str, CommentLifecycle]] = {}
+    finished: list[CommentLifecycle] = []
+    for entry in history:
+        for change in entry.changes:
+            if not include_tests and is_test_file(change.path):
+                continue
+            blocks = []
+            if change.status != "D":
+                source = subprocess.run(
+                    ["git", "-C", str(root), "cat-file", "blob", change.blob],
+                    capture_output=True, check=True,
+                ).stdout.decode("utf-8", errors="replace")
+                blocks = extract_comments(source, change.path)
+            present = {}
+            counts: dict[str, int] = {}
+            for block in blocks:
+                references = find_issue_references(block.normalized_text, patterns)
+                if not references:
+                    continue
+                key = normalize_whitespace(block.normalized_text)
+                counts[key] = counts.get(key, 0) + 1
+                present.setdefault(key, (block, references[0]))
+            in_file = active.setdefault(change.path, {})
+            for key in [key for key in in_file if key not in present]:
+                lc = in_file.pop(key)
+                finished.append(replace(
+                    lc, removed_commit=entry.commit_id,
+                    removed_date=max(entry.timestamp, lc.introduced_date),
+                ))
+            for key, (block, reference) in present.items():
+                lc = in_file.get(key)
+                if lc is None:
+                    in_file[key] = CommentLifecycle(
+                        block=block,
+                        issue_key=reference.key,
+                        tracker=reference.tracker,
+                        introduced_commit=entry.commit_id,
+                        introduced_date=entry.timestamp,
+                        ambiguous=counts[key] > 1,
+                    )
+                elif counts[key] > 1:
+                    in_file[key] = replace(lc, ambiguous=True)
+    for in_file in active.values():
+        finished.extend(in_file.values())
+    finished.sort(
+        key=lambda lc: (lc.introduced_date, lc.introduced_commit,
+                        lc.block.file_path, lc.block.start_line, lc.text_key)
+    )
+    return finished
+
+
+class TestTraceGolden:
+    """A seeded 30-commit history traced exactly as the per-block reference does.
+
+    Referenced comments are edited, reformatted, duplicated, removed and
+    re-added, and moved to another file with the same text; files are
+    renamed and deleted, and one commit's clock runs backwards.
+    """
+
+    TEXTS = (
+        "TODO remove after HADOOP-{n} is fixed",
+        "workaround for HADOOP-{n} until the upstream fix lands",
+        "blocked on HADOOP-{n} and HADOOP-{m}",
+        "a plain note about caching {n}",
+        "see https://issues.apache.org/jira/browse/HADOOP-{n}",
+    )
+    OPS = ("add", "edit", "reformat", "duplicate", "remove", "readd", "move",
+           "rename", "delete", "touch")
+
+    @staticmethod
+    def render(path, comments, salt):
+        lines = [f"public class {path.rsplit('/', 1)[-1][:-5]} {{"]
+        for i, (text, style) in enumerate(comments):
+            if style == "line":
+                lines.append(f"    // {text}")
+            elif style == "spaced":
+                lines.append("    //   " + "  ".join(text.split(" ")))
+            else:
+                words = text.split(" ")
+                half = len(words) // 2
+                lines.append("    /* " + " ".join(words[:half]))
+                lines.append("     " + " ".join(words[half:]) + " */")
+            lines.append(f"    int f{i} = {salt};")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+    def build(self, sandbox, seed):
+        rng = random.Random(seed)
+
+        def new_text():
+            template = rng.choice(self.TEXTS)
+            return template.format(n=rng.randint(1, 40), m=rng.randint(41, 80))
+
+        files = {
+            "src/main/A.java": [(new_text(), "line"), (new_text(), "block")],
+            "src/main/B.java": [(new_text(), "line")],
+            "src/main/util/Ĉ.java": [(new_text(), "spaced"), (new_text(), "line")],
+            "src/test/java/ATest.java": [(new_text(), "line")],
+        }
+        removed: list[tuple[str, tuple[str, str]]] = []
+        ops = list(self.OPS) * 3
+        rng.shuffle(ops)
+        stamp = datetime(2021, 3, 1, 12, 0, tzinfo=UTC)
+        for number, op in enumerate(["init", *ops]):
+            paths = sorted(files)
+            path = rng.choice(paths)
+            comments = files[path]
+            if op == "add" or (op != "init" and not comments):
+                comments.insert(rng.randint(0, len(comments)), (new_text(), "line"))
+            elif op == "edit":
+                i = rng.randrange(len(comments))
+                text, style = comments[i]
+                comments[i] = (text.replace("HADOOP-", "HADOOP-1", 1) + " soon", style)
+            elif op == "reformat":
+                i = rng.randrange(len(comments))
+                text, style = comments[i]
+                styles = [s for s in ("line", "spaced", "block") if s != style]
+                comments[i] = (text, rng.choice(styles))
+            elif op == "duplicate":
+                comments.insert(rng.randint(0, len(comments)), rng.choice(comments))
+            elif op == "remove":
+                removed.append((path, comments.pop(rng.randrange(len(comments)))))
+            elif op == "readd" and removed:
+                back, comment = removed.pop(0)
+                files.setdefault(back, []).append(comment)
+            elif op == "move" and len(paths) > 1:
+                other = rng.choice([p for p in paths if p != path])
+                files[other].append(comments.pop(rng.randrange(len(comments))))
+            elif op == "rename":
+                target = path.replace(".java", f"R{number}.java")
+                sandbox.move(path, target)
+                files[target] = files.pop(path)
+            elif op == "delete" and len(paths) > 1:
+                sandbox.delete(path)
+                del files[path]
+            for name, body in files.items():
+                salt = number if op == "touch" and name == path else 0
+                sandbox.write(name, self.render(name, body, salt))
+            # Commit 20's clock runs an hour behind commit 19's.
+            stamp += timedelta(hours=-1 if number == 20 else 5)
+            sandbox.commit(f"{op} {number}", date=stamp.isoformat())
+
+    @pytest.mark.parametrize("include_tests", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_per_block_detection(self, git_sandbox, jira_patterns, seed,
+                                         include_tests):
+        self.build(git_sandbox, seed)
+        history = walk_history(git_sandbox.root)
+        assert len(history) == 31
+
+        lives = trace_lifecycles(git_sandbox.root, history, jira_patterns,
+                                 include_tests=include_tests)
+        assert lives == _detect_every_block(git_sandbox.root, history,
+                                            jira_patterns, include_tests)
+        assert any(lc.ambiguous for lc in lives)
+        assert any(lc.removed for lc in lives)
+        assert any(not lc.removed for lc in lives)
 
 
 class TestCommentLifecycleValidation:
