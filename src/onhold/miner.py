@@ -5,6 +5,13 @@ within one file path; renames therefore end one lifecycle and start
 another (history is walked with rename detection off, so a rename shows
 up as a delete plus an add).  Only the first-parent chain is traversed,
 which keeps merged side-branch duplicates out of the counts.
+
+Each piece of work is done once.  ``trace_lifecycles`` declares up front
+the order in which it reads blobs, so ``git cat-file`` inflates a bounded
+window of later blobs while this side lexes the current one.  Each
+comment text is detected once per file version: texts that the path's
+previous version already had reuse that version's result, so the
+detection cache holds no more than the live tree's comments.
 """
 
 from __future__ import annotations
@@ -192,10 +199,32 @@ def walk_history(repo_path: str | Path, branch: str = "HEAD") -> list[HistoryEnt
     ]
 
 
-class GitCatFile:
-    """Persistent `git cat-file --batch` channel for reading blobs."""
+# Requests in flight: 64 SHA-1 requests of 41 bytes fit in one 4 KiB
+# pipe page, so writing to git's stdin never blocks and no writer thread
+# is needed, while git inflates the next blobs as this side lexes.
+_READ_AHEAD = 64
 
-    def __init__(self, repo_path: str | Path):
+
+def _no_answer(commit_id: str, change: ChangedFile) -> ConfigError:
+    return ConfigError(
+        f"git cat-file gave no answer for {commit_id}:{change.path}; git has exited"
+    )
+
+
+class GitCatFile:
+    """Persistent `git cat-file --batch` channel reading blobs in a declared order.
+
+    ``blob_ids`` lists every blob the caller will read, in reading order.
+    Up to ``_READ_AHEAD`` requests run ahead of the blob being read, so
+    git inflates later blobs while the caller works on this one.  Git
+    keeps running until ``close``, which closes both pipes, so a loop
+    left early cannot leave git blocked on an answer nobody reads.
+    """
+
+    def __init__(self, repo_path: str | Path, blob_ids: Sequence[str]):
+        self._order = blob_ids
+        self._sent = 0
+        self._read = 0
         self._proc = subprocess.Popen(
             ["git", "-C", str(repo_path), "cat-file", "--batch"],
             stdin=subprocess.PIPE,
@@ -205,29 +234,47 @@ class GitCatFile:
     def read_text(self, commit_id: str, change: ChangedFile) -> str | None:
         """Content of the changed file's blob, or None when git lacks it.
 
-        The blob is requested by id.  Raises ConfigError naming the
-        commit and path when git answers with nothing (it died), so a
-        dead reader is never mistaken for a deleted file.
+        ``change.blob`` must be the next id of the declared order, else
+        ConfigError.  Raises ConfigError naming the commit and path when
+        git's answer stops short (it died), so a dead reader is never
+        mistaken for a deleted file.
         """
-        assert self._proc.stdin is not None and self._proc.stdout is not None
-        self._proc.stdin.write(f"{change.blob}\n".encode("ascii"))
-        self._proc.stdin.flush()
-        header = self._proc.stdout.readline().decode("utf-8", "replace").strip()
-        if not header:
+        if self._read >= len(self._order) or self._order[self._read] != change.blob:
             raise ConfigError(
-                f"git cat-file gave no answer for {commit_id}:{change.path}; "
-                "git has exited"
+                f"blob {change.blob} of {commit_id}:{change.path} read out of "
+                "the declared order"
             )
+        self._read += 1
+        stdin, stdout = self._proc.stdin, self._proc.stdout
+        assert stdin is not None and stdout is not None
+        # Top the requests in flight, this one included, up to the window.
+        ahead = self._order[self._sent:self._read + _READ_AHEAD - 1]
+        if ahead:
+            try:
+                stdin.write("".join(f"{blob}\n" for blob in ahead).encode("ascii"))
+                stdin.flush()
+            except BrokenPipeError:
+                raise _no_answer(commit_id, change) from None
+            self._sent += len(ahead)
+        header = stdout.readline().decode("utf-8", "replace").strip()
+        if not header:
+            raise _no_answer(commit_id, change)
         if header.endswith(("missing", "ambiguous")):
             return None
         size = int(header.split()[-1])
-        body = self._proc.stdout.read(size)
-        self._proc.stdout.read(1)  # trailing newline
+        body = stdout.read(size)
+        if len(body) < size or stdout.read(1) != b"\n":
+            raise _no_answer(commit_id, change)
         return body.decode("utf-8", errors="replace")
 
     def close(self) -> None:
-        if self._proc.stdin:
-            self._proc.stdin.close()
+        """Stop git; unread answers are dropped, so git cannot block on them."""
+        for stream in (self._proc.stdin, self._proc.stdout):
+            if stream:
+                try:
+                    stream.close()
+                except BrokenPipeError:
+                    pass
         self._proc.wait(timeout=10)
 
     def __enter__(self) -> "GitCatFile":
@@ -235,6 +282,15 @@ class GitCatFile:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+_Detection = tuple[str, IssueReference] | None
+
+
+def _detect(text: str, patterns: Patterns) -> _Detection:
+    """The identity key and first issue reference of a comment, or None."""
+    references = find_issue_references(text, patterns)
+    return (normalize_whitespace(text), references[0]) if references else None
 
 
 def trace_lifecycles(
@@ -254,51 +310,66 @@ def trace_lifecycles(
     clamped to the introduction timestamp.  Each comment's issue is the
     first reference detected in its text.
     """
+    paths = {change.path for entry in history for change in entry.changes}
+    skipped = set() if include_tests else {path for path in paths if is_test_file(path)}
+    changes = [
+        (entry, change)
+        for entry in history
+        for change in entry.changes
+        if change.path not in skipped
+    ]
     # Open lifecycles per file path, keyed by normalized text.
     active: dict[str, dict[str, CommentLifecycle]] = {}
+    # Detection of every comment text in each path's last version.
+    detected: dict[str, dict[str, _Detection]] = {}
     finished: list[CommentLifecycle] = []
 
-    with GitCatFile(repo_path) as blobs:
-        for entry in history:
-            for change in entry.changes:
-                if not include_tests and is_test_file(change.path):
+    blob_ids = [change.blob for _, change in changes if change.status != "D"]
+    with GitCatFile(repo_path, blob_ids) as blobs:
+        for entry, change in changes:
+            blocks: list[CommentBlock] = []
+            if change.status != "D":
+                source = blobs.read_text(entry.commit_id, change)
+                if source is not None:
+                    blocks = extract_comments(source, change.path)
+            last = detected.pop(change.path, {})
+            now: dict[str, _Detection] = {}
+            present: dict[str, tuple[CommentBlock, IssueReference]] = {}
+            counts: dict[str, int] = {}
+            for block in blocks:
+                text = block.normalized_text
+                if text not in now:
+                    now[text] = last[text] if text in last else _detect(text, patterns)
+                found = now[text]
+                if found is None:
                     continue
-                blocks: list[CommentBlock] = []
-                if change.status != "D":
-                    source = blobs.read_text(entry.commit_id, change)
-                    if source is not None:
-                        blocks = extract_comments(source, change.path)
-                present: dict[str, tuple[CommentBlock, IssueReference]] = {}
-                counts: dict[str, int] = {}
-                for block in blocks:
-                    references = find_issue_references(block.normalized_text, patterns)
-                    if not references:
-                        continue
-                    key = normalize_whitespace(block.normalized_text)
-                    counts[key] = counts.get(key, 0) + 1
-                    present.setdefault(key, (block, references[0]))
-                in_file = active.setdefault(change.path, {})
-                # Close lifecycles whose text vanished from this file.
-                for key in [key for key in in_file if key not in present]:
-                    lc = in_file.pop(key)
-                    finished.append(replace(
-                        lc, removed_commit=entry.commit_id,
-                        removed_date=max(entry.timestamp, lc.introduced_date),
-                    ))
-                # Open lifecycles for newly appeared texts; refresh flags.
-                for key, (block, reference) in present.items():
-                    lc = in_file.get(key)
-                    if lc is None:
-                        in_file[key] = CommentLifecycle(
-                            block=block,
-                            issue_key=reference.key,
-                            tracker=reference.tracker,
-                            introduced_commit=entry.commit_id,
-                            introduced_date=entry.timestamp,
-                            ambiguous=counts[key] > 1,
-                        )
-                    elif counts[key] > 1:
-                        in_file[key] = replace(lc, ambiguous=True)
+                key, reference = found
+                counts[key] = counts.get(key, 0) + 1
+                present.setdefault(key, (block, reference))
+            if now:
+                detected[change.path] = now
+            in_file = active.setdefault(change.path, {})
+            # Close lifecycles whose text vanished from this file.
+            for key in [key for key in in_file if key not in present]:
+                lc = in_file.pop(key)
+                finished.append(replace(
+                    lc, removed_commit=entry.commit_id,
+                    removed_date=max(entry.timestamp, lc.introduced_date),
+                ))
+            # Open lifecycles for newly appeared texts; refresh flags.
+            for key, (block, reference) in present.items():
+                lc = in_file.get(key)
+                if lc is None:
+                    in_file[key] = CommentLifecycle(
+                        block=block,
+                        issue_key=reference.key,
+                        tracker=reference.tracker,
+                        introduced_commit=entry.commit_id,
+                        introduced_date=entry.timestamp,
+                        ambiguous=counts[key] > 1,
+                    )
+                elif counts[key] > 1:
+                    in_file[key] = replace(lc, ambiguous=True)
 
     for in_file in active.values():
         finished.extend(in_file.values())

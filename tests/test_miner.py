@@ -9,12 +9,14 @@ from __future__ import annotations
 import io
 import random
 import subprocess
+import threading
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
 import pytest
 
+from onhold import miner
 from onhold.errors import ConfigError
 from onhold.issues import TrackerKind, find_issue_references
 from onhold.javalex import extract_comments, normalize_whitespace
@@ -148,11 +150,43 @@ class TestWalkHistory:
         assert [(e.commit_id, e.changes) for e in entries] == [(c1, ()), (c2, ())]
 
 
+def within(seconds, work):
+    """Result of ``work()`` run in a thread; fails instead of hanging on a deadlock."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = work()
+        except BaseException as exc:  # handed back to the test thread below
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def large_java(index, size):
+    line = f"    // line of file {index}\n"
+    return f"class L{index} {{\n" + line * (size // len(line)) + "}\n"
+
+
 class TestGitCatFile:
+    def commit_files(self, sandbox, texts):
+        for name, text in texts.items():
+            sandbox.write(name, text)
+        sandbox.commit("add")
+        (entry,) = walk_history(sandbox.root)
+        return entry, sorted(entry.changes, key=lambda change: change.path)
+
     def test_dead_reader_raises_instead_of_reporting_absence(self):
         reader = GitCatFile.__new__(GitCatFile)
         reader._proc = SimpleNamespace(stdin=io.BytesIO(), stdout=io.BytesIO())
         change = ChangedFile("src/A.java", "M", "ab" * 20)
+        reader._order, reader._sent, reader._read = [change.blob], 0, 0
         with pytest.raises(ConfigError, match="c0ffee:src/A.java"):
             reader.read_text("c0ffee", change)
 
@@ -162,9 +196,63 @@ class TestGitCatFile:
         (entry,) = walk_history(git_sandbox.root)
         (change,) = entry.changes
         missing = ChangedFile("Nope.java", "A", "0" * 40)
-        with GitCatFile(git_sandbox.root) as reader:
+        with GitCatFile(git_sandbox.root, [change.blob, missing.blob]) as reader:
             assert reader.read_text(entry.commit_id, change) == PLAIN_JAVA
             assert reader.read_text(entry.commit_id, missing) is None
+
+    def test_many_blobs_past_the_window_are_all_read(self, git_sandbox):
+        texts = {f"F{i:03d}.java": large_java(i, 300 + 7 * i) for i in range(298)}
+        texts["Big0.java"] = large_java(998, 200_000)
+        texts["Big1.java"] = large_java(999, 100_000)
+        entry, changes = self.commit_files(git_sandbox, texts)
+        assert len(changes) == 300 and sum(map(len, texts.values())) > 64 * 1024
+
+        def read_all():
+            with GitCatFile(git_sandbox.root, [c.blob for c in changes]) as reader:
+                return [reader.read_text(entry.commit_id, c) for c in changes]
+
+        assert within(10, read_all) == [texts[c.path] for c in changes]
+
+    def test_reading_out_of_the_declared_order_is_refused(self, git_sandbox):
+        entry, (first, second) = self.commit_files(
+            git_sandbox, {"A.java": PLAIN_JAVA, "B.java": ON_HOLD_JAVA}
+        )
+
+        def read_second_first():
+            with GitCatFile(git_sandbox.root, [first.blob, second.blob]) as reader:
+                with pytest.raises(ConfigError, match="B.java"):
+                    reader.read_text(entry.commit_id, second)
+                assert reader.read_text(entry.commit_id, first) == PLAIN_JAVA
+                with pytest.raises(ConfigError, match="A.java"):
+                    reader.read_text(entry.commit_id, first)
+
+        within(10, read_second_first)
+
+    def test_killed_git_raises_naming_the_change_and_closes(self, git_sandbox):
+        texts = {f"L{i}.java": large_java(i, 1 << 20) for i in range(3)}
+        entry, changes = self.commit_files(git_sandbox, texts)
+        reader = GitCatFile(git_sandbox.root, [c.blob for c in changes])
+        try:
+            first = within(10, lambda: reader.read_text(entry.commit_id, changes[0]))
+            assert first == texts["L0.java"]
+            reader._proc.kill()
+            reader._proc.wait(timeout=10)
+            with pytest.raises(ConfigError, match=f"{entry.commit_id}:L1.java"):
+                within(10, lambda: reader.read_text(entry.commit_id, changes[1]))
+        finally:
+            within(2, reader.close)
+
+    def test_exception_mid_read_leaves_promptly_as_itself(self, git_sandbox):
+        texts = {f"L{i}.java": large_java(i, 1 << 20) for i in range(4)}
+        entry, changes = self.commit_files(git_sandbox, texts)
+
+        def stop_after_one():
+            with GitCatFile(git_sandbox.root, [c.blob for c in changes]) as reader:
+                reader.read_text(entry.commit_id, changes[0])
+                raise KeyError("stop")
+
+        with pytest.raises(KeyError, match="stop"):
+            within(2, stop_after_one)
 
 
 class TestTraceLifecycles:
@@ -392,6 +480,51 @@ class TestTraceLifecycles:
         removed = [l for l in lives if l.removed]
         remaining = [l for l in lives if not l.removed]
         assert len(removed) + len(remaining) == len(lives) == 3
+
+    def test_each_text_is_detected_once_per_file_version(
+        self, git_sandbox, jira_patterns, monkeypatch
+    ):
+        detected = []
+
+        def counting(text, patterns):
+            detected.append(text)
+            return find_issue_references(text, patterns)
+
+        monkeypatch.setattr(miner, "find_issue_references", counting)
+        hold = "    // TODO remove after HADOOP-1234 is fixed\n"
+        git_sandbox.write("A.java", "class A {\n" + hold + "int x;\n// a plain note\n}\n")
+        git_sandbox.commit("add")
+        git_sandbox.write("A.java", "class A {\n" + hold + "int y;\n// a plain note\n}\n")
+        git_sandbox.commit("code only")
+        git_sandbox.write(
+            "A.java", "class A {\n" + hold + "int y;\n// see HADOOP-77\n}\n" + hold
+        )
+        git_sandbox.write("B.java", "class B {\n" + hold + "}\n")
+        git_sandbox.commit("duplicate, reword and copy")
+
+        lives = self.mine(git_sandbox, jira_patterns)
+        assert len(lives) == 3
+        assert detected == [
+            "TODO remove after HADOOP-1234 is fixed",
+            "a plain note",
+            "see HADOOP-77",
+            "TODO remove after HADOOP-1234 is fixed",
+        ]
+
+    def test_test_paths_are_decided_once_per_path(
+        self, git_sandbox, jira_patterns, monkeypatch
+    ):
+        decided = []
+        monkeypatch.setattr(
+            miner, "is_test_file", lambda path: decided.append(path) or is_test_file(path)
+        )
+        for version in ("int x;", "int y;", "int z;"):
+            git_sandbox.write("A.java", ON_HOLD_JAVA.replace("int x;", version))
+            git_sandbox.write("src/test/ATest.java", ON_HOLD_JAVA.replace("int x;", version))
+            git_sandbox.commit(version)
+
+        assert len(self.mine(git_sandbox, jira_patterns)) == 1
+        assert sorted(decided) == ["A.java", "src/test/ATest.java"]
 
     def test_trace_accepts_a_precomputed_history(self, git_sandbox, jira_patterns):
         git_sandbox.write("A.java", ON_HOLD_JAVA)
