@@ -18,7 +18,7 @@ import io
 import itertools
 import json
 import sys
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -40,9 +40,7 @@ from .issues import (
     dump_pattern_sources,
     find_issue_references,
 )
-from .javalex import CommentBlock, as_raw_comment
 from .learn import Label
-from .miner import CommentLifecycle
 from .timestamps import format_timestamp, parse_timestamp
 
 
@@ -346,36 +344,36 @@ def _cmd_classify(args: argparse.Namespace) -> None:
     _info(f"{n_on_hold} of {len(numbered)} comments classified OnHold")
 
 
-def _lifecycle_from_fields(
+def _finding_fields(
     cell: Callable[[str], str], location: str, issue_key: str, kind: TrackerKind
-) -> CommentLifecycle:
+) -> dict[str, object]:
+    """The row's eight comment fields, as ``tracker.recommend`` takes them.
+
+    Absent cells read as line 1, an end line after the text's last newline,
+    an "unknown" path and commit, and the epoch.  A line number below 1,
+    which ``report`` would refuse, is a DataFormatError.
+    """
     text = cell("comment_text")
     try:
         start = int(cell("line_number") or "1")
+        if start < 1:
+            raise ValueError(f"line number {start} is below 1")
         end_raw = cell("end_line")
         end = int(end_raw) if end_raw else start + text.count("\n")
         stamp = cell("introduced_date")
-        introduced_date = (
-            parse_timestamp(stamp)
-            if stamp
-            else datetime(1970, 1, 1, tzinfo=timezone.utc)
-        )
-        block = CommentBlock(
-            file_path=cell("file_path") or "unknown",
-            start_line=start,
-            end_line=max(start, end),
-            raw_text=as_raw_comment(text),
-            normalized_text=text,
-        )
-        return CommentLifecycle(
-            block=block,
-            issue_key=issue_key,
-            tracker=kind,
-            introduced_commit=cell("introduced_commit") or "unknown",
-            introduced_date=introduced_date,
-        )
+        introduced = format_timestamp(parse_timestamp(stamp)) if stamp else "1970-01-01T00:00:00Z"
     except ValueError as exc:
         raise DataFormatError(f"{location}: {exc}") from exc
+    return {
+        "file_path": cell("file_path") or "unknown",
+        "start_line": start,
+        "end_line": max(start, end),
+        "comment_text": text,
+        "issue_key": issue_key,
+        "tracker": kind.value,
+        "introduced_commit": cell("introduced_commit") or "unknown",
+        "introduced_date": introduced,
+    }
 
 
 def _cmd_check(args: argparse.Namespace) -> None:
@@ -395,7 +393,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
     base_url = args.base_url or (config.base_url if config else "")
     cache_dir = args.cache_dir or (config.cache_dir if config else "")
 
-    lifecycles: list[CommentLifecycle] = []
+    comments: list[dict[str, object]] = []
     per_tracker: dict[TrackerKind, set[str]] = {}
     for lineno, fields in numbered:
         location = f"{args.input}:{lineno}"
@@ -429,7 +427,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
                 "add a tracker column or pass --tracker"
             )
         per_tracker.setdefault(kind, set()).add(key)
-        lifecycles.append(_lifecycle_from_fields(cell, location, key, kind))
+        comments.append(_finding_fields(cell, location, key, kind))
 
     records: dict[tuple[TrackerKind, str], tracker.IssueRecord | None] = {}
     for kind in sorted(per_tracker, key=lambda item: item.value):
@@ -444,11 +442,11 @@ def _cmd_check(args: argparse.Namespace) -> None:
         fetched = gateway.fetch_many(sorted(per_tracker[kind]))
         records.update(((kind, key), record) for key, record in fetched.items())
 
-    recommendations = tracker.recommend(lifecycles, records)
+    recommendations = tracker.recommend(comments, records)
     _emit(report.render_report(recommendations, "json"), args.out)
     ready = sum(1 for rec in recommendations if rec.ready)
     _info(
-        f"checked {len(lifecycles)} remaining comments: "
+        f"checked {len(comments)} remaining comments: "
         f"{ready} ready to be removed"
     )
 

@@ -41,41 +41,29 @@ REQUIRED_COLUMNS = COLUMNS[:5]
 # Imported spreadsheets name their columns loosely; map the spellings
 # we have seen onto the canonical schema.
 _HEADER_SYNONYMS = {
-    "comment_text": "comment_text",
     "comment": "comment_text",
     "comment_context": "comment_text",
     "text": "comment_text",
-    "file_path": "file_path",
     "file": "file_path",
     "path": "file_path",
     "code_file_path": "file_path",
-    "line_number": "line_number",
     "line": "line_number",
     "lineno": "line_number",
     "line_no": "line_number",
-    "issue_key": "issue_key",
     "issue": "issue_key",
     "issue_id": "issue_key",
     "referred_issue": "issue_key",
     "referenced_issue": "issue_key",
     "key": "issue_key",
-    "label": "label",
     "annotation": "label",
     "class": "label",
     "category": "label",
-    "introduced_commit": "introduced_commit",
     "intro_commit": "introduced_commit",
-    "introduced_date": "introduced_date",
     "intro_date": "introduced_date",
     "introduced": "introduced_date",
-    "removed_commit": "removed_commit",
-    "removed_date": "removed_date",
     "removed": "removed_date",
-    "issue_status": "issue_status",
     "status": "issue_status",
-    "issue_resolution": "issue_resolution",
     "resolution": "issue_resolution",
-    "issue_resolved_date": "issue_resolved_date",
     "resolved_date": "issue_resolved_date",
     "resolution_date": "issue_resolved_date",
     "resolutiondate": "issue_resolved_date",

@@ -34,11 +34,6 @@ class CommentBlock:
             raise ValueError("raw_text must begin with a comment delimiter")
 
 
-def as_raw_comment(text: str) -> str:
-    """Rebuild a syntactically valid line comment from delimiter-stripped text."""
-    return "\n".join(f"// {line}".rstrip() for line in (text or "").split("\n"))
-
-
 # Group 1 is a line comment's text, group 2 a block comment's text and
 # group 3 its closing delimiter ("" when the block runs to end of file);
 # literals capture nothing.  A backslash escapes the next character, a

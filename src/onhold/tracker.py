@@ -12,8 +12,9 @@ tracker's own answer with its fetch time, ``{"fetched_at": ...,
 answer.  Saving merges with the file on disk and drops expired
 entries.  An answer of the wrong shape (not a JSON object, or a bad
 date) skips that issue with a warning, like a missing issue, and is
-not cached.  ``recommend`` turns each remaining comment
-into a ``Recommendation``: one finding of ``data/report.schema.json``.
+not cached.  ``recommend`` turns each remaining comment, a dict of a
+finding's eight comment fields, into a ``Recommendation``: one finding
+of ``data/report.schema.json``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .errors import (
     TrackerTemporaryError,
 )
 from .issues import TrackerKind
-from .miner import CommentLifecycle
 from .timestamps import format_timestamp, parse_timestamp
 
 log = logging.getLogger("onhold.tracker")
@@ -425,16 +425,15 @@ def _suggested_action(key: str, ready: bool, evidence: str) -> str:
     return f"keep: {key} is still pending ({evidence})."
 
 
-def _draft_report(lifecycle: CommentLifecycle, record: IssueRecord, resolved: str | None) -> str:
-    block = lifecycle.block
-    where = f"{block.file_path}, lines {block.start_line}-{block.end_line}"
+def _draft_report(comment: Mapping[str, Any], record: IssueRecord, resolved: str | None) -> str:
+    where = f"{comment['file_path']}, lines {comment['start_line']}-{comment['end_line']}"
     return (
         f"Remove obsolete on-hold comment referencing {record.key}\n"
         f"\n"
         f"The comment says:\n"
-        f"    {block.normalized_text}\n"
+        f"    {comment['comment_text']}\n"
         f"\n"
-        f"Location: {where} (introduced in {lifecycle.introduced_commit[:12]}).\n"
+        f"Location: {where} (introduced in {comment['introduced_commit'][:12]}).\n"
         f"Referenced issue {record.key} is now {record.raw_status}"
         f"{'/' + record.raw_resolution if record.raw_resolution else ''}"
         f"{' on ' + resolved if resolved else ''}.\n"
@@ -444,38 +443,31 @@ def _draft_report(lifecycle: CommentLifecycle, record: IssueRecord, resolved: st
 
 
 def recommend(
-    lifecycles: Sequence[CommentLifecycle],
+    comments: Sequence[Mapping[str, Any]],
     records: Mapping[tuple[TrackerKind, str], IssueRecord | None],
 ) -> list[Recommendation]:
     """Pair remaining on-hold comments with issue state and verdicts.
 
-    ``records`` is keyed by (tracker, issue key), so equal keys of two
-    trackers stay apart.  Each comment is paired with the record of its
-    ``tracker`` and ``issue_key``; comments whose issue could not be
-    fetched are skipped with a warning.
+    Each comment is a dict of a finding's eight comment fields, named and
+    typed as in ``Recommendation``.  ``records`` is keyed by (tracker,
+    issue key), so equal keys of two trackers stay apart; comments whose
+    issue could not be fetched are skipped with a warning.
     """
     out: list[Recommendation] = []
-    for lifecycle in lifecycles:
-        if lifecycle.removed:
-            continue
-        record = records.get((lifecycle.tracker, lifecycle.issue_key))
+    for comment in comments:
+        record = records.get((TrackerKind(comment["tracker"]), comment["issue_key"]))
         if record is None:
             log.warning("issue %s unavailable; comment at %s:%d skipped",
-                        lifecycle.issue_key, lifecycle.block.file_path,
-                        lifecycle.block.start_line)
+                        comment["issue_key"], comment["file_path"], comment["start_line"])
             continue
-        block, ready = lifecycle.block, is_ready_to_remove(record)
+        ready = is_ready_to_remove(record)
         resolved = format_timestamp(record.resolved_date) if record.resolved_date else None
         evidence = _evidence(record, resolved)
         out.append(Recommendation(
-            file_path=block.file_path, start_line=block.start_line, end_line=block.end_line,
-            comment_text=block.normalized_text, issue_key=record.key,
-            tracker=record.tracker.value, issue_status=record.raw_status,
+            **comment, issue_status=record.raw_status,
             issue_resolution=record.raw_resolution, issue_resolved_date=resolved,
-            introduced_commit=lifecycle.introduced_commit,
-            introduced_date=format_timestamp(lifecycle.introduced_date),
             ready=ready, evidence=evidence,
             suggested_action=_suggested_action(record.key, ready, evidence),
-            draft_report=_draft_report(lifecycle, record, resolved) if ready else None,
+            draft_report=_draft_report(comment, record, resolved) if ready else None,
         ))
     return out

@@ -667,6 +667,65 @@ class TestPipeline:
             ("src/B.java", "bugzilla", False),
         ]
 
+    @pytest.mark.parametrize("line", ["0", "-3"])
+    def test_check_refuses_a_line_number_below_1(self, line, tmp_path, capsys):
+        # report refuses a finding whose end_line is below 1, so check
+        # must not write one.
+        table = datasetio.format_table(
+            ("comment_text", "file_path", "line_number", "issue_key", "label"),
+            [["remove after HADOOP-6223", "src/A.java", "1", "HADOOP-6223", "OnHold"],
+             ["remove after HADOOP-6223", "src/B.java", line, "HADOOP-6223", "OnHold"]],
+        )
+        source = tmp_path / "remaining.tsv"
+        source.write_text(table, encoding="utf-8")
+        out = tmp_path / "check.json"
+        code = cli_main(
+            ["check", "--input", str(source), "--fixtures", str(FIXTURE_DIR),
+             "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {source}:3: line number {line} is below 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "column,flags,key,expected",
+        [
+            ("bugzilla", ["--tracker", "github"], "7", "bugzilla"),
+            ("", ["--tracker", "github"], "7", "github"),
+            ("", [], "HADOOP-6223", "jira"),
+            ("", [], "7", None),
+        ],
+        ids=["column-beats-flag", "flag", "jira-key", "unknown"],
+    )
+    def test_check_resolves_each_rows_tracker(self, column, flags, key, expected,
+                                               tmp_path, capsys):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        for name, answer in [("bugzilla_7", '{"bugs": [{"status": "NEW"}]}'),
+                             ("github_7", '{"state": "open"}'),
+                             ("jira_HADOOP-6223", '{"fields": {"status": {"name": "Open"}}}')]:
+            (fixtures / f"{name}.json").write_text(answer, encoding="utf-8")
+        table = datasetio.format_table(
+            ("comment_text", "issue_key", "tracker", "label"),
+            [["remove after issue", key, column, "OnHold"]],
+        )
+        source = tmp_path / "remaining.tsv"
+        source.write_text(table, encoding="utf-8")
+        out = tmp_path / "check.json"
+        code = cli_main(
+            ["check", "--input", str(source), "--fixtures", str(fixtures), *flags,
+             "--out", str(out)]
+        )
+        if expected is None:
+            assert code == 1
+            assert "cannot tell the tracker for issue '7'" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == 0
+            (finding,) = json.loads(out.read_text(encoding="utf-8"))["findings"]
+            assert finding["tracker"] == expected
+
     @pytest.mark.parametrize(
         "kind,flag,servers,payloads",
         [

@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 
 from onhold.errors import DataFormatError
 from onhold.issues import TrackerKind
-from onhold.javalex import CommentBlock
-from onhold.miner import CommentLifecycle
 from onhold.report import (
     REPORT_FORMATS,
     SCHEMA_VERSION,
@@ -30,20 +28,16 @@ UTC = timezone.utc
 
 
 def make_recommendation(ready: bool = True, key: str = "HADOOP-6223") -> Recommendation:
-    block = CommentBlock(
-        file_path="src/main/java/ipc/Server.java",
-        start_line=118,
-        end_line=119,
-        raw_text="// remove this hack\n// once HADOOP-6223 is fixed",
-        normalized_text="remove this hack\nonce HADOOP-6223 is fixed",
-    )
-    lifecycle = CommentLifecycle(
-        block=block,
-        issue_key=key,
-        tracker=TrackerKind.JIRA,
-        introduced_commit="abcdef0123456789",
-        introduced_date=datetime(2019, 7, 1, 9, 30, tzinfo=UTC),
-    )
+    comment = {
+        "file_path": "src/main/java/ipc/Server.java",
+        "start_line": 118,
+        "end_line": 119,
+        "comment_text": "remove this hack\nonce HADOOP-6223 is fixed",
+        "issue_key": key,
+        "tracker": "jira",
+        "introduced_commit": "abcdef0123456789",
+        "introduced_date": "2019-07-01T09:30:00Z",
+    }
     record = IssueRecord(
         tracker=TrackerKind.JIRA,
         key=key,
@@ -51,7 +45,7 @@ def make_recommendation(ready: bool = True, key: str = "HADOOP-6223") -> Recomme
         raw_resolution="Fixed" if ready else None,
         resolved_date=datetime(2010, 8, 17, 3, 4, 31, tzinfo=UTC) if ready else None,
     )
-    (rec,) = recommend([lifecycle], {(TrackerKind.JIRA, key): record})
+    (rec,) = recommend([comment], {(TrackerKind.JIRA, key): record})
     return rec
 
 

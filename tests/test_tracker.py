@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -29,8 +30,6 @@ from onhold.errors import (
     TrackerTemporaryError,
 )
 from onhold.issues import TrackerKind
-from onhold.javalex import CommentBlock
-from onhold.miner import CommentLifecycle
 from onhold.timestamps import format_timestamp
 from onhold.tracker import (
     TIMEOUT_SECONDS,
@@ -760,30 +759,18 @@ class TestFuzzedCacheEntries:
                       {(JIRA, "HADOOP-6223"): rec})
 
 
-def lifecycle(
-    text: str, key: str, removed: bool = False, tracker: TrackerKind = JIRA
-) -> CommentLifecycle:
-    block = CommentBlock(
-        file_path="src/A.java",
-        start_line=3,
-        end_line=3,
-        raw_text=f"// {text}",
-        normalized_text=text,
-    )
-    kwargs = {}
-    if removed:
-        kwargs = {
-            "removed_commit": "febe12",
-            "removed_date": datetime(2021, 2, 1, tzinfo=UTC),
-        }
-    return CommentLifecycle(
-        block=block,
-        issue_key=key,
-        tracker=tracker,
-        introduced_commit="abc1234567890",
-        introduced_date=datetime(2021, 1, 1, tzinfo=UTC),
-        **kwargs,
-    )
+def lifecycle(text: str, key: str, tracker: TrackerKind = JIRA) -> dict[str, object]:
+    """A remaining comment as ``recommend`` takes it: a finding's comment fields."""
+    return {
+        "file_path": "src/A.java",
+        "start_line": 3,
+        "end_line": 3,
+        "comment_text": text,
+        "issue_key": key,
+        "tracker": tracker.value,
+        "introduced_commit": "abc1234567890",
+        "introduced_date": "2021-01-01T00:00:00Z",
+    }
 
 
 class TestRecommend:
@@ -810,10 +797,6 @@ class TestRecommend:
         assert rec.draft_report is None
         assert rec.evidence == "status=Open, resolution=none"
 
-    def test_removed_comments_are_skipped(self):
-        lives = [lifecycle("remove after HADOOP-1", "HADOOP-1", removed=True)]
-        assert recommend(lives, self.records()) == []
-
     def test_unfetched_issue_is_skipped(self):
         lives = [lifecycle("remove after HADOOP-777", "HADOOP-777")]
         assert recommend(lives, self.records()) == []
@@ -837,3 +820,10 @@ class TestRecommend:
         assert isinstance(rec, Recommendation)
         with pytest.raises(AttributeError):
             rec.ready = False
+
+
+def test_tracker_does_not_import_the_miner():
+    # Checking issues needs no git history: the tracker stays off the mining side.
+    code = "import sys, onhold.tracker; sys.exit('onhold.miner' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
