@@ -351,7 +351,8 @@ def _finding_fields(
 
     Absent cells read as line 1, an end line after the text's last newline,
     an "unknown" path and commit, and the epoch.  A line number below 1,
-    which ``report`` would refuse, is a DataFormatError.
+    which ``report`` would refuse, or an end line before the line number
+    is a DataFormatError.
     """
     text = cell("comment_text")
     try:
@@ -360,6 +361,8 @@ def _finding_fields(
             raise ValueError(f"line number {start} is below 1")
         end_raw = cell("end_line")
         end = int(end_raw) if end_raw else start + text.count("\n")
+        if end < start:
+            raise ValueError(f"end line {end} is before line number {start}")
         stamp = cell("introduced_date")
         introduced = format_timestamp(parse_timestamp(stamp)) if stamp else "1970-01-01T00:00:00Z"
     except ValueError as exc:
@@ -367,7 +370,7 @@ def _finding_fields(
     return {
         "file_path": cell("file_path") or "unknown",
         "start_line": start,
-        "end_line": max(start, end),
+        "end_line": end,
         "comment_text": text,
         "issue_key": issue_key,
         "tracker": kind.value,

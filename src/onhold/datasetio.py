@@ -144,6 +144,8 @@ def parse_table(
 
     Returns the header fields and a list of ``(line_number, fields)``
     pairs; line numbers are 1-based file positions for error messages.
+    An empty line is a row of one empty cell in a one-column table and
+    is skipped in a wider one.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -153,7 +155,7 @@ def parse_table(
     header = [unescape_field(cell) for cell in lines[0].split("\t")]
     rows: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
+        if not line and len(header) > 1:
             continue
         fields = [unescape_field(cell) for cell in line.split("\t")]
         if len(fields) != len(header):

@@ -8,24 +8,28 @@ which keeps merged side-branch duplicates out of the counts.
 
 Each piece of work is done once.  ``trace_lifecycles`` declares up front
 the order in which it reads blobs, so ``git cat-file`` inflates a bounded
-window of later blobs while this side lexes the current one.  Each
-comment text is detected once per file version: texts that the path's
-previous version already had reuse that version's result, so the
-detection cache holds no more than the live tree's comments.
+window of later blobs while this side lexes the current one.  Each file
+version is relexed only in the window where it differs from the path's
+previous version, so every live .java file's last version is held (about
+the size of the checkout's Java sources).  Only the comment runs that the
+edit removed or added update the per-path counts of texts and issue keys;
+a text the previous version already had reuses that version's detection,
+and a ``CommentBlock`` is built only when a lifecycle opens.
 """
 
 from __future__ import annotations
 
 import logging
 import subprocess
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path, PurePosixPath
 from typing import Sequence
 
 from .errors import ConfigError
-from .javalex import CommentBlock, extract_comments, normalize_whitespace
-from .issues import IssueReference, Patterns, TrackerKind, find_issue_references
+from .javalex import CommentBlock, Run, extract_comments, normalize_whitespace, relex
+from .issues import Patterns, TrackerKind, find_issue_references
 
 
 _NAME_SUFFIXES = ("testcase", "tests", "test")
@@ -284,15 +288,6 @@ class GitCatFile:
         self.close()
 
 
-_Detection = tuple[str, IssueReference] | None
-
-
-def _detect(text: str, patterns: Patterns) -> _Detection:
-    """The identity key and first issue reference of a comment, or None."""
-    references = find_issue_references(text, patterns)
-    return (normalize_whitespace(text), references[0]) if references else None
-
-
 def trace_lifecycles(
     repo_path: str | Path,
     history: Sequence[HistoryEntry],
@@ -318,60 +313,67 @@ def trace_lifecycles(
         for change in entry.changes
         if change.path not in skipped
     ]
-    # Open lifecycles per file path, keyed by normalized text.
-    active: dict[str, dict[str, CommentLifecycle]] = {}
-    # Detection of every comment text in each path's last version.
-    detected: dict[str, dict[str, _Detection]] = {}
+    # Per path: the last version's source and comment runs; each comment
+    # text's count and detection, each issue key's count and the open
+    # lifecycles, keyed by normalized text.
+    files: dict[str, tuple[str, list[Run]]] = {}
+    state: dict[str, tuple[dict[str, list], Counter[str], dict[str, CommentLifecycle]]] = {}
     finished: list[CommentLifecycle] = []
 
     blob_ids = [change.blob for _, change in changes if change.status != "D"]
     with GitCatFile(repo_path, blob_ids) as blobs:
         for entry, change in changes:
-            blocks: list[CommentBlock] = []
+            path, source = change.path, ""
             if change.status != "D":
-                source = blobs.read_text(entry.commit_id, change)
-                if source is not None:
-                    blocks = extract_comments(source, change.path)
-            last = detected.pop(change.path, {})
-            now: dict[str, _Detection] = {}
-            present: dict[str, tuple[CommentBlock, IssueReference]] = {}
-            counts: dict[str, int] = {}
-            for block in blocks:
-                text = block.normalized_text
-                if text not in now:
-                    now[text] = last[text] if text in last else _detect(text, patterns)
-                found = now[text]
-                if found is None:
+                source = blobs.read_text(entry.commit_id, change) or ""
+            old, old_runs = files.pop(path, ("", []))
+            runs, lo, old_hi, new_hi = relex(old, old_runs, source)
+            if source:
+                files[path] = (source, runs)
+            texts, keys, in_file = state.setdefault(path, ({}, Counter(), {}))
+            # Count the new runs before the removed ones, so that a text
+            # which survives the edit keeps its detection.  A key rising
+            # from 0 opens at its first new run; one falling to 0 closes.
+            touched: dict[str, Run | None] = {}
+            for step, part in ((1, runs[lo:new_hi]), (-1, old_runs[lo:old_hi])):
+                for run in part:
+                    if run[2] not in texts:
+                        # The identity key and first issue reference, if any.
+                        found = find_issue_references(run[2], patterns)
+                        texts[run[2]] = [0, found and (normalize_whitespace(run[2]), found[0])]
+                    slot = texts[run[2]]
+                    slot[0] += step
+                    if not slot[0]:
+                        del texts[run[2]]
+                    if not slot[1]:
+                        continue
+                    key = slot[1][0]
+                    keys[key] += step
+                    if step > 0:
+                        touched.setdefault(key, run if keys[key] == 1 else None)
+                    elif not keys[key]:
+                        del keys[key]
+                        lc = in_file.pop(key)
+                        finished.append(replace(
+                            lc, removed_commit=entry.commit_id,
+                            removed_date=max(entry.timestamp, lc.introduced_date),
+                        ))
+            for key, run in touched.items():
+                if run is None:
+                    if keys[key] > 1:
+                        in_file[key] = replace(in_file[key], ambiguous=True)
                     continue
-                key, reference = found
-                counts[key] = counts.get(key, 0) + 1
-                present.setdefault(key, (block, reference))
-            if now:
-                detected[change.path] = now
-            in_file = active.setdefault(change.path, {})
-            # Close lifecycles whose text vanished from this file.
-            for key in [key for key in in_file if key not in present]:
-                lc = in_file.pop(key)
-                finished.append(replace(
-                    lc, removed_commit=entry.commit_id,
-                    removed_date=max(entry.timestamp, lc.introduced_date),
-                ))
-            # Open lifecycles for newly appeared texts; refresh flags.
-            for key, (block, reference) in present.items():
-                lc = in_file.get(key)
-                if lc is None:
-                    in_file[key] = CommentLifecycle(
-                        block=block,
-                        issue_key=reference.key,
-                        tracker=reference.tracker,
-                        introduced_commit=entry.commit_id,
-                        introduced_date=entry.timestamp,
-                        ambiguous=counts[key] > 1,
-                    )
-                elif counts[key] > 1:
-                    in_file[key] = replace(lc, ambiguous=True)
+                start, end, text, _ = run
+                (block,) = extract_comments(
+                    source[start:end], path, source.count("\n", 0, start) + 1
+                )
+                reference = texts[text][1][1]
+                in_file[key] = CommentLifecycle(
+                    block, reference.key, reference.tracker, entry.commit_id,
+                    entry.timestamp, ambiguous=keys[key] > 1,
+                )
 
-    for in_file in active.values():
+    for _, _, in_file in state.values():
         finished.extend(in_file.values())
     finished.sort(
         key=lambda lc: (lc.introduced_date, lc.introduced_commit,

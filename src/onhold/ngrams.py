@@ -126,9 +126,6 @@ class NGramVocabulary:
     def __iter__(self) -> Iterator[NGramTerm]:
         return iter(self.terms)
 
-    def index_of(self, tokens: Sequence[str]) -> int | None:
-        return self._index.get(tuple(tokens))
-
 
 @dataclass(frozen=True)
 class FeatureVector:

@@ -688,6 +688,24 @@ class TestPipeline:
         assert err == f"error: {source}:3: line number {line} is below 1\n"
         assert not out.exists()
 
+    def test_check_refuses_an_end_line_before_the_line_number(self, tmp_path, capsys):
+        # The row's range cannot be mended by guessing which bound is wrong.
+        table = datasetio.format_table(
+            ("comment_text", "file_path", "line_number", "end_line", "issue_key"),
+            [["remove after HADOOP-6223", "src/A.java", "5", "2", "HADOOP-6223"]],
+        )
+        source = tmp_path / "remaining.tsv"
+        source.write_text(table, encoding="utf-8")
+        out = tmp_path / "check.json"
+        code = cli_main(
+            ["check", "--input", str(source), "--fixtures", str(FIXTURE_DIR),
+             "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {source}:2: end line 2 is before line number 5\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "column,flags,key,expected",
         [

@@ -7,10 +7,12 @@ byte exact.  Oracle strings below are written out by hand from that rule.
 
 from __future__ import annotations
 
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onhold.datasetio import (
@@ -21,6 +23,7 @@ from onhold.datasetio import (
     format_dataset,
     format_table,
     load_dataset,
+    load_table,
     parse_dataset,
     parse_table,
     save_dataset,
@@ -97,9 +100,34 @@ class TestGenericTable:
         assert header == ["x", "y"]
         assert rows == []
 
-    def test_blank_lines_are_skipped(self):
+    def test_empty_line_of_a_one_column_table_is_a_row(self):
         _, rows = parse_table("x\n1\n\n2\n")
-        assert rows == [(2, ["1"]), (4, ["2"])]
+        assert rows == [(2, ["1"]), (3, [""]), (4, ["2"])]
+
+    def test_blank_lines_between_wider_rows_are_skipped(self):
+        _, rows = parse_table("x\ty\n1\t2\n\n3\t4\n")
+        assert rows == [(2, ["1", "2"]), (4, ["3", "4"])]
+
+
+def _tables():
+    """A header and rows of one width, 1 to 4 cells of arbitrary text."""
+    return st.integers(1, 4).flatmap(lambda width: st.tuples(
+        st.lists(st.text(), min_size=width, max_size=width),
+        st.lists(st.lists(st.text(), min_size=width, max_size=width), max_size=6),
+    ))
+
+
+class TestTableRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(_tables())
+    def test_saved_table_loads_back_unchanged(self, table):
+        header, rows = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.tsv"
+            path.write_text(format_table(header, rows), encoding="utf-8", newline="\n")
+            loaded_header, numbered = load_table(path)
+        assert loaded_header == header
+        assert numbered == [(lineno, row) for lineno, row in enumerate(rows, start=2)]
 
 
 class TestDatasetRowValidation:

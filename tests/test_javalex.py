@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onhold.javalex import CommentBlock, extract_comments, normalize_whitespace
+from onhold.javalex import CommentBlock, extract_comments, normalize_whitespace, relex
 
 
 def blocks(source: str):
@@ -366,3 +366,67 @@ class TestReferenceAgreement:
     ])
     def test_reference_agrees_on_the_examples(self, source):
         assert extract_comments(source) == reference_comments(source)
+
+
+# -- relexing the changed window ---------------------------------------------
+
+EDIT_ALPHABET = LEXER_ALPHABET + [" "]
+
+
+def _pieces(max_size: int):
+    return st.lists(st.sampled_from(EDIT_ALPHABET), max_size=max_size).map("".join)
+
+
+def _blocks_from_runs(source: str, runs) -> list[CommentBlock]:
+    """Each run's block, lexed alone from its slice as the miner builds one."""
+    return [
+        extract_comments(source[start:end], "A.java", source.count("\n", 0, start) + 1)[0]
+        for start, end, _, _ in runs
+    ]
+
+
+def _splice_checked(old: str, old_runs, source: str):
+    """``relex`` of one edit, checked against lexing ``source`` whole."""
+    runs, lo, old_hi, new_hi = relex(old, old_runs, source)
+    assert runs == relex("", [], source)[0]
+    assert _blocks_from_runs(source, runs) == extract_comments(source, "A.java")
+    # The runs outside the window are the old ones, those after it shifted.
+    delta = len(source) - len(old)
+    assert runs[:lo] == list(old_runs[:lo])
+    assert runs[new_hi:] == [(s + delta, e + delta, t, u) for s, e, t, u in old_runs[old_hi:]]
+    return runs
+
+
+class TestRelex:
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        _pieces(40),
+        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 6), _pieces(8)), max_size=12),
+    )
+    def test_splicing_each_version_equals_lexing_it_whole(self, source, edits):
+        runs = relex("", [], source)[0]
+        for at, cut, insert in edits:
+            at = min(at, len(source))
+            new = source[:at] + insert + source[at + cut:]
+            runs = _splice_checked(source, runs, new)
+            source = new
+
+    def test_a_quote_after_a_comment_turns_its_line_into_a_char_literal(self):
+        # Restarting at the comment's own start, the last run start before
+        # the change, would still find it: the char literal attempt that
+        # begins at the first quote reads past the change.
+        old = "x = 'ab /* c */ d\n"
+        new = "x = 'ab /* c */ d'\n"
+        assert spans(old) == [(1, 1, "c")]
+        assert _splice_checked(old, relex("", [], old)[0], new) == []
+
+    def test_a_backslash_newline_carries_the_char_literal_to_the_next_line(self):
+        old = "x = 'ab /* c */ \\\nd\n"
+        new = "x = 'ab /* c */ \\\nd'\n"
+        assert spans(old) == [(1, 1, "c")]
+        assert _splice_checked(old, relex("", [], old)[0], new) == []
+
+    def test_a_comment_that_now_joins_the_one_before_is_not_reused(self):
+        old = "x /* a */"
+        new = "/* b */ /* a */"
+        assert _splice_checked(old, relex("", [], old)[0], new) == [(0, 15, "b\na", False)]

@@ -190,11 +190,11 @@ class TestVectorize:
 def reference_vectorize(comment, vocab):
     """Look every n-gram of the comment up, up to the longest term's length."""
     found = set()
+    index = {term.tokens: i for i, term in enumerate(vocab.terms)}
     max_len = max((len(term.tokens) for term in vocab), default=0)
     for gram in enumerate_ngrams(comment, max_len):
-        idx = vocab.index_of(gram)
-        if idx is not None:
-            found.add(idx)
+        if gram in index:
+            found.add(index[gram])
     return FeatureVector(tuple(sorted(found)))
 
 
@@ -261,10 +261,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             NGramVocabulary((term, term))
 
-    def test_index_of_unknown_term_is_none(self):
-        vocab = extract_terms(CORPUS)
-        assert vocab.index_of(("zz",)) is None
-        assert vocab.index_of(("a",)) == 0
+    def test_unknown_term_is_not_in_the_vocabulary(self):
+        tokens = [term.tokens for term in extract_terms(CORPUS).terms]
+        assert ("zz",) not in tokens
+        assert tokens.index(("a",)) == 0
 
 
 class TestVocabularyRoundTrip:
