@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from onhold import textprep
 from onhold.errors import ConfigError, DataFormatError, TrainingError
+from onhold.evalstats import kfold_split
 from onhold.issues import derive_patterns
 from onhold.learn import (
     ALGORITHMS,
@@ -735,3 +736,59 @@ class TestSelectModel:
             fitted.add((model.algorithm, json.dumps(model.hyperparameters, sort_keys=True),
                         tuple(scores.tolist())))
         assert len(fitted) == 1
+
+
+def corpus_dataset(size, on_hold_fraction, corpus_seed, flip_every):
+    """Featurized ``generate_corpus`` rows with every flip_every-th label flipped."""
+    entries = generate_corpus(size=size, on_hold_fraction=on_hold_fraction, seed=corpus_seed)
+    patterns = derive_patterns([e.issue_key for e in entries])
+    lemma = textprep.load_lemma_table()
+    tokens = [textprep.preprocess(e.text, patterns, lemma) for e in entries]
+    flipped = {ON: CROSS, CROSS: ON}
+    labels = [flipped[e.label] if i % flip_every == 0 else e.label for i, e in enumerate(entries)]
+    return featurize(tokens, labels)[1]
+
+
+class TestSelectModelGolden:
+    """Winner and saved-model sha256 of ``select_model`` over the default grid.
+
+    Each case is (size, OnHold fraction, corpus seed, flip every, SMOTE,
+    seed).  The "skipped-fold" corpus has so few CrossReference rows that
+    one inner training fold holds only OnHold rows and is skipped.
+    """
+
+    GOLDEN = {
+        "noisy": (
+            (300, 0.13, 1, 7, False, 0),
+            "NaiveBayes", {"alpha": 1.0},
+            "a5319dc4d9232c4be1fe620cb4bf2717af20996b778ff2b7ffb17acca2124273",
+        ),
+        "smote": (
+            (160, 0.13, 4, 6, True, 2),
+            "ExtraTrees", {"n_trees": 100, "max_depth": None},
+            "aa8dc5fcf15ef8a1c87e5b0d8cfabe4eef19a5aced403d057bb1542e7c995cde",
+        ),
+        "skipped-fold": (
+            (60, 0.98, 7, 20, False, 7),
+            "KNN", {"k": 5},
+            "a6100856ff8ea7c43e46be94b8d4088792edef3f87facc129f02b07938da36e1",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(GOLDEN))
+    def test_winner_and_model_are_pinned(self, case, tmp_path):
+        (size, fraction, corpus_seed, flip_every, smote, seed), algorithm, hp, digest = (
+            self.GOLDEN[case]
+        )
+        ds = corpus_dataset(size, fraction, corpus_seed, flip_every)
+        if smote:
+            ds = smote_oversample(ds, seed=seed)
+        if case == "skipped-fold":
+            folds = kfold_split(range(len(ds)), k=3, seed=seed)
+            inner_classes = [set(np.delete(ds.y, fold).tolist()) for fold in folds]
+            assert {1} in inner_classes
+        model = select_model(ds, seed=seed)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert (model.algorithm, model.hyperparameters) == (algorithm, hp)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
