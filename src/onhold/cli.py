@@ -29,6 +29,7 @@ from .errors import (
     IssueNotFoundError,
     TrackerError,
     TrainingError,
+    WorkerError,
 )
 from .issues import (
     JIRA_KEY,
@@ -290,6 +291,12 @@ def _cmd_train(args: argparse.Namespace) -> None:
     _info(_dataset_echo(args.dataset, labels))
     vocab, dataset = learn.featurize(tokens, labels, bow=args.bow)
     model = learn.fit(dataset, args.algorithm, smote=args.smote, seed=args.seed)
+    for row in model.inner_cv:
+        _info(
+            f"inner CV {row.algorithm} {json.dumps(row.hyperparameters, sort_keys=True)}: "
+            f"mean F1 {row.mean_f1:.4f}, mean AUC {row.mean_auc:.4f}"
+            f"{' (chosen)' if row.chosen else ''}"
+        )
     model.vocabulary_hash = learn.vocabulary_digest(vocab)
     learn.save_model(model, args.model)
     ngrams.save_vocabulary(vocab, args.vocab)
@@ -697,7 +704,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return 1
     # A missing user-supplied path (FileNotFoundError) is an invocation
     # mistake, not an environment failure, so it is caught before OSError.
-    except (ConfigError, DataFormatError, TrainingError, IssueNotFoundError,
+    except (ConfigError, DataFormatError, TrainingError, WorkerError, IssueNotFoundError,
             ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

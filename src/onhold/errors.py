@@ -17,6 +17,10 @@ class TrainingError(OnholdError):
     """Dataset unusable for training (e.g. a single-class fold)."""
 
 
+class WorkerError(OnholdError):
+    """A worker process died, e.g. killed for lack of memory; names its lost job."""
+
+
 class TrackerError(OnholdError):
     """Base class for issue-tracker gateway failures."""
 

@@ -38,6 +38,14 @@ RandomForest builds them per tree over its bootstrap draws, one bit per
 draw, so a row drawn twice counts twice.  Scoring builds the query
 matrix's columns once, and each tree ORs its OnHold leaves' masks into
 one int.
+
+``select_model`` runs its (candidate, inner fold) fits in up to one
+forked worker process per usable CPU, and in this process when there
+is one.  Each fit keeps its own seed and each candidate's scores are
+averaged in fold order, so the choice and the refitted model equal a
+serial run's.  Memory is about the workers times one fit.  Forking is
+safe here: OpenBLAS stops its threads at fork, and ``tracker`` joins
+its thread pool before ``fetch_many`` returns.
 """
 
 from __future__ import annotations
@@ -45,15 +53,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import threading
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from . import ngrams
-from .errors import ConfigError, DataFormatError, TrainingError
+from .errors import ConfigError, DataFormatError, TrainingError, WorkerError
 from .ngrams import FeatureVector, NGramVocabulary, format_vocabulary
 
 
@@ -589,6 +600,8 @@ class TrainedModel:
     seed: int
     vocabulary_hash: str | None
     _impl: Any = field(repr=False)
+    # select_model's ranking of the grid; never saved.
+    inner_cv: tuple["CandidateScore", ...] = field(default=(), repr=False)
 
     def label(self, score: float) -> Label:
         """OnHold iff the score reaches the threshold; ties classify positive."""
@@ -700,6 +713,93 @@ def smote_oversample(dataset: Dataset, seed: int = 0) -> Dataset:
     return _canonical(x, y, provenance)
 
 
+class CandidateScore(NamedTuple):
+    """One grid candidate's inner-CV means, as ``select_model`` ranked it."""
+
+    algorithm: str
+    hyperparameters: dict[str, Any]
+    mean_f1: float
+    mean_auc: float
+    chosen: bool
+
+
+def _score_job(cv: tuple, job: tuple[int, int]) -> tuple[float, float, float, float]:
+    """Precision, recall, F1 and AUC of grid candidate c fitted on inner split f.
+
+    ``cv`` is (grid, inner splits, seed) and ``job`` is (c, f).
+    """
+    from . import evalstats
+
+    grid, splits, seed = cv
+    c, f = job
+    inner, held_out = splits[f]
+    return evalstats.score_model(train(inner, *grid[c], seed=seed), held_out)
+
+
+# A forked worker's inner CV, set once by its pool initializer.  Fork
+# copies it in, so a job crosses to a worker as two ints and comes back
+# as four floats.
+_worker_cv: tuple = ()
+
+
+def _adopt(cv: tuple, parent: int) -> None:
+    """Pool initializer: keep the inner CV, and exit once the parent is gone."""
+    global _worker_cv
+    _worker_cv = cv
+    threading.Thread(target=_exit_without, args=(parent,), daemon=True).start()
+
+
+def _exit_without(parent: int) -> None:
+    # A parent killed by a signal never stops its workers, and each
+    # would wait for its next job forever.
+    while os.getppid() == parent:
+        time.sleep(1.0)
+    os._exit(1)
+
+
+def _worker_job(job: tuple[int, int]) -> tuple[float, float, float, float]:
+    return _score_job(_worker_cv, job)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the OS cannot say, as on macOS."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_jobs(cv: tuple, jobs: list[tuple[int, int]]) -> list[tuple[float, float, float, float]]:
+    """``_score_job`` of every job, in job order.
+
+    With more than one usable CPU the jobs run in forked workers, one
+    per CPU at most, and every worker is joined before this returns.
+    An exception in a job re-raises as itself.  A worker that dies
+    raises WorkerError naming the first job whose scores were lost.
+    """
+    import multiprocessing
+
+    workers = min(_usable_cpus(), len(jobs))
+    # A daemonic process, such as a multiprocessing.Pool worker, may not start processes.
+    if (workers < 2 or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return [_score_job(cv, job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    scores = []
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(cv, os.getpid())) as pool:
+        try:
+            for score in pool.map(_worker_job, jobs):
+                scores.append(score)
+        except BrokenProcessPool as exc:
+            c, f = jobs[len(scores)]
+            algorithm, hp = cv[0][c]
+            raise WorkerError(
+                f"inner CV lost {algorithm} {json.dumps(hp, sort_keys=True)} on inner fold "
+                f"{f + 1}: a worker process died (killed for lack of memory?)"
+            ) from exc
+    return scores
+
+
 def select_model(
     train_fold: Dataset,
     candidate_grid: Sequence[tuple[str, dict[str, Any]]] | None = None,
@@ -710,8 +810,11 @@ def select_model(
 
     Inner cross-validation runs on the training fold only.  Ties go to
     the higher mean AUC, then to the earlier grid position.  The winner
-    is refitted on the whole training fold.  Inner test folds that end
-    up single-class contribute a neutral AUC of 0.5.
+    is refitted on the whole training fold, and its ``inner_cv`` lists
+    every candidate's means.  Inner test folds that end up single-class
+    contribute a neutral AUC of 0.5; inner training folds that do are
+    skipped.  A one-candidate grid is fitted without inner CV.  The
+    inner fits run in worker processes (see the module docstring).
     """
     from . import evalstats  # runtime import; evalstats imports this module
 
@@ -723,22 +826,31 @@ def select_model(
     # change the inner splits and hence the chosen candidate.
     n = len(train_fold)
     folds = evalstats.kfold_split(range(n), k=min(inner_k, n), seed=seed)
+    if len(grid) == 1:
+        return train(train_fold, *grid[0], seed=seed)
     splits = []
     for fold in folds:
         inner = train_fold.subset(np.setdiff1d(np.arange(n), fold))
         if min(inner.class_counts().values()) == 0:
             continue
         splits.append((inner, train_fold.subset(fold)))
+    if not splits:
+        return train(train_fold, *grid[0], seed=seed)
 
-    def mean_f1_auc(candidate: tuple[str, dict[str, Any]]) -> tuple[float, float]:
-        algorithm, hp = candidate
-        scores = [evalstats.score_model(train(inner, algorithm, hp, seed=seed), held_out)
-                  for inner, held_out in splits]
-        return (sum(s[2] for s in scores) / len(scores), sum(s[3] for s in scores) / len(scores))
-
+    k = len(splits)
+    scores = _run_jobs((grid, splits, seed), [(c, f) for c in range(len(grid)) for f in range(k)])
+    means = []
+    for c in range(len(grid)):
+        per_fold = scores[c * k:(c + 1) * k]
+        means.append((sum(s[2] for s in per_fold) / k, sum(s[3] for s in per_fold) / k))
     # max keeps the first of equal keys, so ties go to the earlier grid position.
-    best = max(grid, key=mean_f1_auc) if splits else grid[0]
-    return train(train_fold, best[0], best[1], seed=seed)
+    best = max(range(len(grid)), key=means.__getitem__)
+    model = train(train_fold, *grid[best], seed=seed)
+    model.inner_cv = tuple(
+        CandidateScore(*candidate, *mean, c == best)
+        for c, (candidate, mean) in enumerate(zip(grid, means))
+    )
+    return model
 
 
 def fit(dataset: Dataset, algorithm: str, smote: bool = False, seed: int = 0) -> TrainedModel:

@@ -1054,6 +1054,46 @@ class TestLifecycleCommand:
         assert float(cells[("resolution_delay", "OnHold", "median_delay_days")]) == 5.0
 
 
+class TestInnerCV:
+    def test_train_auto_reports_every_candidate(self, dataset_path, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert cli_main(["train", "--dataset", str(dataset_path), "--model", str(model),
+                         "--vocab", str(tmp_path / "v.tsv")]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("inner CV ")]
+        assert len(lines) == len(learn.DEFAULT_GRID)
+        assert all("mean F1 " in line and ", mean AUC " in line for line in lines)
+        chosen = [line for line in lines if line.endswith(" (chosen)")]
+        saved = json.loads(model.read_text(encoding="utf-8"))
+        assert len(chosen) == 1
+        assert chosen[0].startswith(f"inner CV {saved['algorithm']} ")
+        assert "inner_cv" not in saved
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_a_dying_worker_exits_one_without_a_traceback(
+        self, command, dataset_path, tmp_path, capsys, monkeypatch
+    ):
+        parent = os.getpid()
+        real_train = learn.train
+
+        def train_or_die(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(learn, "train", train_or_die)
+        monkeypatch.setattr(learn, "_usable_cpus", lambda: 2)
+        argv = {
+            "train": ["train", "--dataset", str(dataset_path), "--model", str(tmp_path / "m.json"),
+                      "--vocab", str(tmp_path / "v.tsv")],
+            "evaluate": ["evaluate", "--dataset", str(dataset_path), "--k", "3"],
+        }[command]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: inner CV lost ExtraTrees" in err
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     def test_training_twice_is_byte_identical(self, dataset_path, tmp_path):
         outputs = []

@@ -9,20 +9,27 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from onhold import textprep
-from onhold.errors import ConfigError, DataFormatError, TrainingError
+from onhold import learn, textprep
+from onhold.errors import ConfigError, DataFormatError, TrainingError, WorkerError
 from onhold.evalstats import kfold_split
 from onhold.issues import derive_patterns
 from onhold.learn import (
     ALGORITHMS,
+    DEFAULT_GRID,
     SCORE_CHUNK_ROWS,
     SMOTE_NEIGHBOURS,
     Label,
@@ -792,3 +799,144 @@ class TestSelectModelGolden:
         save_model(model, path)
         assert (model.algorithm, model.hyperparameters) == (algorithm, hp)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def child_pids() -> set[int]:
+    """Live or unreaped children of this process, where /proc lists them."""
+    return {
+        int(pid)
+        for path in Path("/proc/self/task").glob("*/children")
+        for pid in path.read_text().split()
+    }
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    """Algorithms of the fits this process runs, in call order."""
+    calls = []
+    real_train = learn.train
+
+    def counted(dataset, algorithm, *rest, **kwargs):
+        calls.append(algorithm)
+        return real_train(dataset, algorithm, *rest, **kwargs)
+
+    monkeypatch.setattr(learn, "train", counted)
+    return calls
+
+
+def _select_in_this_process(_):
+    return select_model(SEPARABLE, candidate_grid=[("NaiveBayes", {}), ("KNN", {"k": 1})]).algorithm
+
+
+class TestSelectModelWorkers:
+    def test_one_cpu_path_equals_the_pool(self, monkeypatch, train_calls, tmp_path):
+        ds = corpus_dataset(120, 0.13, 2, 5)
+        saved = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(learn, "_usable_cpus", lambda: cpus)
+            train_calls.clear()
+            model = select_model(ds, seed=1)
+            path = tmp_path / f"{cpus}.json"
+            save_model(model, path)
+            saved[cpus] = (path.read_bytes(), model.inner_cv, list(train_calls))
+        # One CPU fits the 9 x 3 inner jobs and the refit here; the pool
+        # leaves only the refit to this process.
+        assert len(saved[1][2]) == 28
+        assert saved[2][2] == saved[1][2][-1:]
+        assert saved[1][:2] == saved[2][:2]
+
+    def test_a_dying_worker_names_its_candidate_and_leaves_no_process(self, monkeypatch):
+        parent = os.getpid()
+        real_train = learn.train
+
+        def train_or_die(dataset, algorithm, *rest, **kwargs):
+            if algorithm == "KNN" and os.getpid() != parent:
+                os._exit(1)
+            return real_train(dataset, algorithm, *rest, **kwargs)
+
+        monkeypatch.setattr(learn, "train", train_or_die)
+        monkeypatch.setattr(learn, "_usable_cpus", lambda: 2)
+        before = child_pids()
+        with pytest.raises(WorkerError, match=r'lost KNN \{"k": 1\} on inner fold 1'):
+            select_model(SEPARABLE, candidate_grid=[("KNN", {"k": 1}), ("NaiveBayes", {})])
+        assert child_pids() <= before
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        started = tmp_path / "started"
+        started.mkdir()
+        script = (
+            "import os, sys, time\n"
+            "from onhold import learn\n"
+            "parent, real_train = os.getpid(), learn.train\n"
+            "def train_or_wait(*args, **kwargs):\n"
+            "    if os.getpid() != parent:\n"
+            f"        open(os.path.join({str(started)!r}, str(os.getpid())), 'w').close()\n"
+            "        time.sleep(120)\n"
+            "    return real_train(*args, **kwargs)\n"
+            "learn.train, learn._usable_cpus = train_or_wait, lambda: 2\n"
+            "ds = learn.make_dataset([learn.FeatureVector((i % 2,)) for i in range(12)],\n"
+            "                        [learn.Label.ON_HOLD, learn.Label.CROSS_REFERENCE] * 6, 2)\n"
+            "learn.select_model(ds, candidate_grid=[('NaiveBayes', {}), ('KNN', {'k': 1})])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(learn.__file__).parents[1])}
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(started.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        workers = [int(path.name) for path in started.iterdir()]
+        assert len(workers) == 2
+
+        def running(pid):
+            try:
+                return Path(f"/proc/{pid}/stat").read_text().split(")")[-1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(running, workers))
+
+    def test_an_exception_in_a_worker_re_raises_as_itself(self, monkeypatch):
+        monkeypatch.setattr(learn, "_usable_cpus", lambda: 2)
+        with pytest.raises(ConfigError, match="k must be >= 1"):
+            select_model(SEPARABLE, candidate_grid=[("NaiveBayes", {}), ("KNN", {"k": 0})])
+        assert multiprocessing.active_children() == []
+
+    def test_a_daemonic_process_scores_in_process(self, monkeypatch):
+        monkeypatch.setattr(learn, "_usable_cpus", lambda: 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.map(_select_in_this_process, [0]) == ["NaiveBayes"]
+
+    def test_a_one_candidate_grid_is_fitted_once(self, train_calls, tmp_path):
+        model = select_model(XOR, candidate_grid=[("LinearSVM", {"lam": 1e-4})], seed=2)
+        assert train_calls == ["LinearSVM"]
+        assert model.inner_cv == ()
+        direct = train(XOR, "LinearSVM", {"lam": 1e-4}, seed=2)
+        save_model(model, tmp_path / "selected.json")
+        save_model(direct, tmp_path / "direct.json")
+        assert (tmp_path / "selected.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
+
+    def test_a_one_candidate_grid_fails_as_before(self):
+        single_class = dataset_from([((0,), ON)] * 4, n_features=1)
+        with pytest.raises(TrainingError, match="both classes"):
+            select_model(single_class, candidate_grid=[("NaiveBayes", {})])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            select_model(SEPARABLE, candidate_grid=[("NaiveBayes", {})], inner_k=0)
+        with pytest.raises(ConfigError, match="k must be >= 1"):
+            select_model(SEPARABLE, candidate_grid=[("KNN", {"k": 0})])
+
+    def test_inner_cv_ranks_every_candidate(self):
+        model = select_model(SEPARABLE, inner_k=3)
+        assert [(row.algorithm, row.hyperparameters) for row in model.inner_cv] == list(
+            DEFAULT_GRID
+        )
+        # Every candidate separates these folds, so the first one wins the tie.
+        assert [row.chosen for row in model.inner_cv] == [True] + [False] * 8
+        assert {(row.mean_f1, row.mean_auc) for row in model.inner_cv} == {(1.0, 1.0)}
