@@ -867,7 +867,7 @@ class TestSelectModelWorkers:
         started = tmp_path / "started"
         started.mkdir()
         script = (
-            "import os, sys, time\n"
+            "import os, time\n"
             "from onhold import learn\n"
             "parent, real_train = os.getpid(), learn.train\n"
             "def train_or_wait(*args, **kwargs):\n"
