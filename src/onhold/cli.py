@@ -180,6 +180,33 @@ def _tracker_projects(
     return list(zip(trackers, projects))
 
 
+def _tracker_base_urls(
+    args: argparse.Namespace, config: ProjectConfig | None = None
+) -> tuple[dict[TrackerKind, str], str]:
+    """Each ``--tracker``'s server, the ``--base-url`` in the same position,
+    and the server of every other tracker.
+
+    Without ``--tracker`` flags, one ``--base-url`` serves every
+    tracker.  The config's ``base_url`` serves a tracker left without one.
+    """
+    trackers = [TrackerKind.parse(t) for t in args.tracker or []]
+    urls = list(args.base_url or [])
+    if len(urls) > max(len(trackers), 1):
+        raise ConfigError(
+            f"{len(urls)} --base-url values for {len(trackers)} --tracker values"
+        )
+    fallback = config.base_url if config else ""
+    if not trackers:
+        return {}, urls[0] if urls else fallback
+    paired: dict[TrackerKind, str] = {}
+    for kind, url in zip(trackers, urls):
+        if paired.setdefault(kind, url) != url:
+            raise ConfigError(
+                f"{kind.value} takes one --base-url, got {paired[kind]!r} and {url!r}"
+            )
+    return paired, fallback
+
+
 def _patterns(
     args: argparse.Namespace,
     config: ProjectConfig | None = None,
@@ -294,8 +321,8 @@ def _cmd_train(args: argparse.Namespace) -> None:
     for row in model.inner_cv:
         _info(
             f"inner CV {row.algorithm} {json.dumps(row.hyperparameters, sort_keys=True)}: "
-            f"mean F1 {row.mean_f1:.4f}, mean AUC {row.mean_auc:.4f}"
-            f"{' (chosen)' if row.chosen else ''}"
+            f"mean F1 {row.mean_f1:.4f}, mean AUC {row.mean_auc:.4f}, "
+            f"mean fit {row.mean_fit_s * 1000:.1f} ms{' (chosen)' if row.chosen else ''}"
         )
     model.vocabulary_hash = learn.vocabulary_digest(vocab)
     learn.save_model(model, args.model)
@@ -400,7 +427,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
     repos = sorted({project for kind, project in pairs if kind is TrackerKind.GITHUB})
     if len(repos) > 1:
         raise ConfigError(f"github takes one --project, got {', '.join(map(repr, repos))}")
-    base_url = args.base_url or (config.base_url if config else "")
+    base_urls, other_base_url = _tracker_base_urls(args, config)
     cache_dir = args.cache_dir or (config.cache_dir if config else "")
 
     comments: list[dict[str, object]] = []
@@ -443,7 +470,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
     for kind in sorted(per_tracker, key=lambda item: item.value):
         gateway_config = tracker.TrackerConfig(
             tracker=kind,
-            base_url=base_url,
+            base_url=base_urls.get(kind, other_base_url),
             repo=repos[0] if repos and kind is TrackerKind.GITHUB else "",
             fixture_dir=args.fixtures,
             cache_dir=cache_dir or None,
@@ -654,7 +681,9 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True,
                    help="predictions or mined-lifecycle TSV")
     p.add_argument("--config", default=None, help="project JSON config file")
-    p.add_argument("--base-url", default=None, help="tracker API base URL")
+    p.add_argument("--base-url", action="append", default=None,
+                   help="tracker API base URL; repeatable, paired positionally with "
+                        "--tracker (one value alone serves every tracker)")
     p.add_argument("--fixtures", default=None,
                    help="directory of recorded {tracker}_{KEY}.json responses "
                         "(no network access)")

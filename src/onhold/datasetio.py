@@ -125,16 +125,30 @@ def unescape_field(value: str) -> str:
     return _ESCAPE.sub(lambda escape: _UNESCAPES[escape[1]], value)
 
 
+def _format_line(fields: Sequence[str]) -> str:
+    # Most rows need no escape: one join, checked by its tab count.
+    line = "\t".join(fields)
+    if (line.count("\t") != len(fields) - 1
+            or "\\" in line or "\n" in line or "\r" in line):
+        line = "\t".join(escape_field(v) for v in fields)
+    return line
+
+
 def format_table(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     """Render a generic table as escaped TSV text (header included)."""
-    lines = ["\t".join(escape_field(c) for c in columns)]
+    lines = [_format_line(columns)]
     for row in rows:
         if len(row) != len(columns):
             raise DataFormatError(
                 f"row has {len(row)} fields, header has {len(columns)}"
             )
-        lines.append("\t".join(escape_field(v) for v in row))
+        lines.append(_format_line(row))
     return "\n".join(lines) + "\n"
+
+
+def _parse_line(line: str) -> list[str]:
+    cells = line.split("\t")
+    return [unescape_field(cell) for cell in cells] if "\\" in line else cells
 
 
 def parse_table(
@@ -152,12 +166,12 @@ def parse_table(
         lines.pop()
     if not lines:
         raise DataFormatError(f"{source}: empty file, expected a header row")
-    header = [unescape_field(cell) for cell in lines[0].split("\t")]
+    header = _parse_line(lines[0])
     rows: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line and len(header) > 1:
             continue
-        fields = [unescape_field(cell) for cell in line.split("\t")]
+        fields = _parse_line(line)
         if len(fields) != len(header):
             raise DataFormatError(
                 f"{source}:{lineno}: expected {len(header)} fields, "

@@ -39,6 +39,15 @@ draw, so a row drawn twice counts twice.  Scoring builds the query
 matrix's columns once, and each tree ORs its OnHold leaves' masks into
 one int.
 
+A node's sqrt-F feature subset is the one ``Generator.choice`` would
+draw (Breiman 2001), but each tree makes the bounded draws of
+Floyd's sampling algorithm (Bentley & Floyd 1987) for a block of
+nodes in one ``integers`` call and replays Floyd's rule over them, so
+the trees equal per-node ``choice`` trees.  When every sampled feature
+is constant at a node, the fallback scans only the features some row
+of the node has, since no other one can split it; a large node, whose
+rows hold about as many features as there are, scans them all.
+
 ``select_model`` runs its (candidate, inner fold) fits in up to one
 forked worker process per usable CPU, and in this process when there
 is one.  Each fit keeps its own seed and each candidate's scores are
@@ -59,7 +68,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -266,16 +275,67 @@ def _best_split(
     return best
 
 
+# Nodes whose feature subsets the first draw makes; later draws double
+# it, up to 256.
+_FIRST_BLOCK = 32
+
+
+def _feature_subsets(
+    rng: np.random.Generator, n_features: int, n_sample: int
+) -> Iterator[list[int]]:
+    """``np.sort(rng.choice(n_features, n_sample, replace=False)).tolist()``, call after call.
+
+    For these sizes ``choice`` runs Floyd's algorithm, one bounded draw
+    in [0, j] for each j from n_features - n_sample to n_features - 1,
+    then shuffles its picks with one draw in [0, i] for each i from
+    n_sample - 1 down to 1.  Each is the draw ``rng.integers(0, h)``
+    makes for h = j + 1 or i + 1, so one ``integers`` call over a block
+    of rows of these bounds makes the draws of many calls.  The sort
+    undoes the shuffle, so its draws are only consumed.  Draws past the
+    tree's last node are never used, so the caller must not use the
+    generator afterwards.
+    """
+    lo = n_features - n_sample
+    bounds = np.array([*range(lo + 1, n_features + 1), *range(n_sample, 1, -1)])
+    block = _FIRST_BLOCK
+    while True:
+        for row in rng.integers(0, bounds, size=(block, len(bounds)))[:, :n_sample].tolist():
+            chosen: set[int] = set()
+            for j, v in zip(range(lo, n_features), row):
+                # Floyd: a value already chosen is replaced by j, which is not.
+                chosen.add(j if v in chosen else v)
+            yield sorted(chosen)
+        block = min(2 * block, 256)
+
+
+def _live_features(mask: int, bit_features: Sequence[Sequence[int]]) -> list[int]:
+    """Sorted features present in some row of the mask; bit i's row has bit_features[i]."""
+    live: set[int] = set()
+    while mask:
+        low = mask & -mask
+        live.update(bit_features[low.bit_length() - 1])
+        mask ^= low
+    return sorted(live)
+
+
 def _grow_tree(
     cols: list[int],
     ypos: int,
     n_rows: int,
     rng: np.random.Generator,
     max_depth: int | None,
+    bit_features: Sequence[Sequence[int]],
 ) -> _Tree:
-    """Grow one tree over rows 0..n_rows-1 of the column bitsets cols."""
+    """Grow one tree over rows 0..n_rows-1 of the column bitsets cols.
+
+    ``bit_features[i]`` lists the features of the row behind bit i.
+    """
     n_features = len(cols)
     n_sample = max(1, math.isqrt(n_features))
+    subsets = _feature_subsets(rng, n_features, n_sample)
+    # Below this many rows a node's live features cost less to collect
+    # than a scan of every feature.
+    live_rows = n_features * n_rows / max(1, sum(map(len, bit_features)))
     tree = _Tree([], [], [], [])
 
     def new_node(frac: float) -> int:
@@ -300,12 +360,14 @@ def _grow_tree(
                 tree.left[parent] = node
         if npos == 0 or npos == n or (max_depth is not None and depth >= max_depth):
             continue
-        feats = np.sort(rng.choice(n_features, size=n_sample, replace=False)).tolist()
-        split = _best_split(cols, mask, mask_pos, n, npos, feats)
+        split = _best_split(cols, mask, mask_pos, n, npos, next(subsets))
         if split is None and n_sample < n_features:
             # Sampled features were all constant here; fall back to a
-            # full scan so a pure-yet-splittable node is not wasted.
-            split = _best_split(cols, mask, mask_pos, n, npos, range(n_features))
+            # full scan so a pure-yet-splittable node is not wasted.  A
+            # feature no row here has is constant, so only the live
+            # ones can split, and in the same order.
+            feats = _live_features(mask, bit_features) if n < live_rows else range(n_features)
+            split = _best_split(cols, mask, mask_pos, n, npos, feats)
         if split is None:
             continue
         tree.feature[node] = split
@@ -360,6 +422,7 @@ class _ExtraTrees:
         streams = np.random.SeedSequence(seed).spawn(hp["n_trees"])
         # ExtraTrees grows every tree on all rows, so the columns are built once.
         cols, ypos = _column_bits(x), _column_bits(y[:, None])[0]
+        row_features = bit_features = [np.flatnonzero(row).tolist() for row in x]
         trees = []
         for stream in streams:
             rng = np.random.default_rng(stream)
@@ -367,7 +430,8 @@ class _ExtraTrees:
                 # Bit i stands for draw i, so a row drawn twice counts twice.
                 rows = rng.integers(0, n_rows, size=n_rows)
                 cols, ypos = _column_bits(x[rows]), _column_bits(y[rows, None])[0]
-            trees.append(_grow_tree(cols, ypos, n_rows, rng, hp["max_depth"]))
+                bit_features = [row_features[r] for r in rows.tolist()]
+            trees.append(_grow_tree(cols, ypos, n_rows, rng, hp["max_depth"], bit_features))
         return cls(trees)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -713,18 +777,24 @@ def smote_oversample(dataset: Dataset, seed: int = 0) -> Dataset:
     return _canonical(x, y, provenance)
 
 
-class CandidateScore(NamedTuple):
-    """One grid candidate's inner-CV means, as ``select_model`` ranked it."""
+@dataclass(frozen=True)
+class CandidateScore:
+    """One grid candidate's inner-CV means, as ``select_model`` ranked it.
+
+    ``mean_fit_s``, the mean wall time of its inner fits, varies from
+    run to run, so two rankings compare equal without it.
+    """
 
     algorithm: str
     hyperparameters: dict[str, Any]
     mean_f1: float
     mean_auc: float
     chosen: bool
+    mean_fit_s: float = field(compare=False)
 
 
-def _score_job(cv: tuple, job: tuple[int, int]) -> tuple[float, float, float, float]:
-    """Precision, recall, F1 and AUC of grid candidate c fitted on inner split f.
+def _score_job(cv: tuple, job: tuple[int, int]) -> tuple[float, ...]:
+    """Precision, recall, F1, AUC and fit seconds of grid candidate c on inner split f.
 
     ``cv`` is (grid, inner splits, seed) and ``job`` is (c, f).
     """
@@ -733,12 +803,15 @@ def _score_job(cv: tuple, job: tuple[int, int]) -> tuple[float, float, float, fl
     grid, splits, seed = cv
     c, f = job
     inner, held_out = splits[f]
-    return evalstats.score_model(train(inner, *grid[c], seed=seed), held_out)
+    start = time.perf_counter()
+    model = train(inner, *grid[c], seed=seed)
+    fit_s = time.perf_counter() - start
+    return (*evalstats.score_model(model, held_out), fit_s)
 
 
 # A forked worker's inner CV, set once by its pool initializer.  Fork
 # copies it in, so a job crosses to a worker as two ints and comes back
-# as four floats.
+# as five floats.
 _worker_cv: tuple = ()
 
 
@@ -757,7 +830,7 @@ def _exit_without(parent: int) -> None:
     os._exit(1)
 
 
-def _worker_job(job: tuple[int, int]) -> tuple[float, float, float, float]:
+def _worker_job(job: tuple[int, int]) -> tuple[float, ...]:
     return _score_job(_worker_cv, job)
 
 
@@ -766,7 +839,7 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _run_jobs(cv: tuple, jobs: list[tuple[int, int]]) -> list[tuple[float, float, float, float]]:
+def _run_jobs(cv: tuple, jobs: list[tuple[int, int]]) -> list[tuple[float, ...]]:
     """``_score_job`` of every job, in job order.
 
     With more than one usable CPU the jobs run in forked workers, one
@@ -839,16 +912,17 @@ def select_model(
 
     k = len(splits)
     scores = _run_jobs((grid, splits, seed), [(c, f) for c in range(len(grid)) for f in range(k)])
-    means = []
+    means, fit_s = [], []
     for c in range(len(grid)):
         per_fold = scores[c * k:(c + 1) * k]
         means.append((sum(s[2] for s in per_fold) / k, sum(s[3] for s in per_fold) / k))
+        fit_s.append(sum(s[4] for s in per_fold) / k)
     # max keeps the first of equal keys, so ties go to the earlier grid position.
     best = max(range(len(grid)), key=means.__getitem__)
     model = train(train_fold, *grid[best], seed=seed)
     model.inner_cv = tuple(
-        CandidateScore(*candidate, *mean, c == best)
-        for c, (candidate, mean) in enumerate(zip(grid, means))
+        CandidateScore(*candidate, *mean, c == best, seconds)
+        for c, (candidate, mean, seconds) in enumerate(zip(grid, means, fit_s))
     )
     return model
 

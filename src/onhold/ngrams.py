@@ -104,21 +104,22 @@ class NGramVocabulary:
     """Ordered, unique weighted terms extracted from one training fold."""
 
     terms: tuple[NGramTerm, ...]
-    _index: dict[TokenTuple, int] = field(init=False, repr=False, compare=False)
-    # Every prefix of every term, the terms included: an n-gram outside
-    # it cannot be extended into a term.
-    _prefixes: frozenset[TokenTuple] = field(init=False, repr=False, compare=False)
+    # A token trie of the terms: each node maps a token to its child,
+    # and None to the index of the term that ends there.  A node exists
+    # for every prefix of a term, so an n-gram with no node cannot be
+    # extended into a term.
+    _trie: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        index = {term.tokens: i for i, term in enumerate(self.terms)}
-        if len(index) != len(self.terms):
-            raise ValueError("duplicate terms in vocabulary")
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(
-            self,
-            "_prefixes",
-            frozenset(tokens[:n] for tokens in index for n in range(1, len(tokens) + 1)),
-        )
+        trie: dict = {}
+        for i, term in enumerate(self.terms):
+            node = trie
+            for token in term.tokens:
+                node = node.setdefault(token, {})
+            if None in node:
+                raise ValueError("duplicate terms in vocabulary")
+            node[None] = i
+        object.__setattr__(self, "_trie", trie)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -177,22 +178,21 @@ def build_bow_vocabulary(all_comments: Sequence[Sequence[str]]) -> NGramVocabula
 def vectorize(comment: Sequence[str], vocab: NGramVocabulary) -> FeatureVector:
     """Binary occurrence vector: index i set iff term i occurs contiguously.
 
-    The n-grams starting at each token grow one token at a time, only
-    while they are still a prefix of some term.
+    From each token, the vocabulary's trie is walked one token at a
+    time, only while the n-gram so far is still a prefix of some term.
     """
     if len(vocab) == 0:
         raise ValueError("empty vocabulary")
     tokens = tuple(comment)
-    index, prefixes = vocab._index, vocab._prefixes
     found = set()
     for start in range(len(tokens)):
-        for end in range(start + 1, len(tokens) + 1):
-            gram = tokens[start:end]
-            if gram not in prefixes:
+        node = vocab._trie
+        for end in range(start, len(tokens)):
+            node = node.get(tokens[end])
+            if node is None:
                 break
-            idx = index.get(gram)
-            if idx is not None:
-                found.add(idx)
+            if None in node:
+                found.add(node[None])
     return FeatureVector(tuple(sorted(found)))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -555,6 +556,82 @@ class TestPipeline:
             ("jira", "", "HADOOP-1"),
         ]
 
+    def test_check_asks_each_tracker_its_own_server(self, tmp_path, monkeypatch):
+        # Two fixture servers behind requests.get: a Jira one and a Bugzilla one.
+        servers = {
+            "https://issues.example.org": {
+                "/rest/api/2/issue/HADOOP-1": {"fields": {"status": {"name": "Open"}}},
+            },
+            "https://bugs.example.org": {
+                "/rest/bug/7": {"bugs": [{"status": "RESOLVED", "resolution": "FIXED"}]},
+            },
+        }
+        requested = []
+
+        class Response:
+            def __init__(self, payload):
+                self.status_code = 200 if payload is not None else 404
+                self.payload = payload or {}
+
+            def json(self):
+                return self.payload
+
+        def get(url, **kwargs):
+            requested.append(url)
+            server = next(root for root in servers if url.startswith(root + "/"))
+            return Response(servers[server].get(url[len(server):]))
+
+        import requests
+
+        monkeypatch.setattr(requests, "get", get)
+        table = datasetio.format_table(
+            ("comment_text", "file_path", "issue_key", "tracker", "label"),
+            [
+                ["remove after HADOOP-1", "src/A.java", "HADOOP-1", "jira", "OnHold"],
+                ["remove after bug 7", "src/B.java", "7", "bugzilla", "OnHold"],
+            ],
+        )
+        source = tmp_path / "remaining.tsv"
+        source.write_text(table, encoding="utf-8")
+        out = tmp_path / "check.json"
+        code = cli_main(
+            ["check", "--input", str(source),
+             "--tracker", "jira", "--base-url", "https://issues.example.org",
+             "--tracker", "bugzilla", "--base-url", "https://bugs.example.org",
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert sorted(requested) == [
+            "https://bugs.example.org/rest/bug/7",
+            "https://issues.example.org/rest/api/2/issue/HADOOP-1",
+        ]
+        findings = json.loads(out.read_text(encoding="utf-8"))["findings"]
+        assert [(f["issue_key"], f["ready"]) for f in findings] == [
+            ("HADOOP-1", False), ("7", True),
+        ]
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--base-url", "https://a.org", "--base-url", "https://b.org"],
+             "2 --base-url values for 0 --tracker values"),
+            (["--tracker", "jira", "--base-url", "https://a.org", "--base-url", "https://b.org"],
+             "2 --base-url values for 1 --tracker values"),
+            (["--tracker", "jira", "--base-url", "https://a.org",
+              "--tracker", "jira", "--base-url", "https://b.org"],
+             "jira takes one --base-url"),
+        ],
+        ids=["no-tracker", "one-tracker", "one-kind-two-servers"],
+    )
+    def test_check_refuses_base_urls_it_cannot_pair(self, flags, message, tmp_path, capsys):
+        source = tmp_path / "remaining.tsv"
+        source.write_text(datasetio.format_table(
+            ("comment_text", "issue_key", "label"),
+            [["remove after HADOOP-1", "HADOOP-1", "OnHold"]],
+        ), encoding="utf-8")
+        assert cli_main(["check", "--input", str(source), *flags]) == 1
+        assert message in capsys.readouterr().err
+
     def test_check_caches_a_jira_issue_once_whatever_the_project(self, tmp_path, monkeypatch):
         # A Jira request does not depend on --project, so neither does its cache entry.
         requests = []
@@ -1063,6 +1140,7 @@ class TestInnerCV:
                  if line.startswith("inner CV ")]
         assert len(lines) == len(learn.DEFAULT_GRID)
         assert all("mean F1 " in line and ", mean AUC " in line for line in lines)
+        assert all(re.search(r", mean fit \d+\.\d ms( \(chosen\))?$", line) for line in lines)
         chosen = [line for line in lines if line.endswith(" (chosen)")]
         saved = json.loads(model.read_text(encoding="utf-8"))
         assert len(chosen) == 1

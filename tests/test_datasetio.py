@@ -109,12 +109,16 @@ class TestGenericTable:
         assert rows == [(2, ["1", "2"]), (4, ["3", "4"])]
 
 
-def _tables():
+def _tables(cells=st.text()):
     """A header and rows of one width, 1 to 4 cells of arbitrary text."""
     return st.integers(1, 4).flatmap(lambda width: st.tuples(
-        st.lists(st.text(), min_size=width, max_size=width),
-        st.lists(st.lists(st.text(), min_size=width, max_size=width), max_size=6),
+        st.lists(cells, min_size=width, max_size=width),
+        st.lists(st.lists(cells, min_size=width, max_size=width), max_size=6),
     ))
+
+
+# Arbitrary unicode, with the characters the escapes involve made common.
+_escapable_text = st.text(st.one_of(st.characters(), st.sampled_from("\t\n\r\\tnr")))
 
 
 class TestTableRoundTrip:
@@ -128,6 +132,32 @@ class TestTableRoundTrip:
             loaded_header, numbered = load_table(path)
         assert loaded_header == header
         assert numbered == [(lineno, row) for lineno, row in enumerate(rows, start=2)]
+
+
+class TestTableFastPaths:
+    """Whole-line joins and splits equal escaping and unescaping each cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tables(_escapable_text))
+    def test_format_table_escapes_like_each_cell(self, table):
+        header, rows = table
+        expected = "".join(
+            "\t".join(escape_field(cell) for cell in row) + "\n" for row in [header, *rows]
+        )
+        assert format_table(header, rows) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tables(_escapable_text.map(lambda t: t.replace("\t", "").replace("\n", ""))))
+    def test_parse_table_unescapes_like_each_cell(self, table):
+        # Raw lines, so a stray backslash or an unknown escape reaches the parser.
+        header, rows = table
+        text = "".join("\t".join(row) + "\n" for row in [header, *rows])
+        parsed_header, numbered = parse_table(text)
+        assert parsed_header == [unescape_field(cell) for cell in header]
+        assert numbered == [
+            (lineno, [unescape_field(cell) for cell in row])
+            for lineno, row in enumerate(rows, start=2)
+        ]
 
 
 class TestDatasetRowValidation:

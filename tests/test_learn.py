@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -44,7 +45,7 @@ from onhold.learn import (
     train,
     vocabulary_digest,
 )
-from onhold.learn import _column_bits
+from onhold.learn import _best_split, _column_bits, _feature_subsets, _live_features
 from onhold.ngrams import FeatureVector, build_bow_vocabulary, extract_terms, vectorize
 
 from corpus import generate_corpus
@@ -555,6 +556,51 @@ class TestExactArithmetic:
         assert predict_proba_batch(model, queries).tobytes() == expected.tobytes()
 
 
+class TestTreeGrowerShortcuts:
+    """The block sampler and the live-feature fallback change no fitted tree."""
+
+    @pytest.mark.parametrize("n_features",
+                             [1, 2, 3, 5, 14, 200, 595, 4000, 10000, 10001, 20000])
+    def test_block_draws_replay_choice(self, n_features):
+        k = max(1, math.isqrt(n_features))
+        for seed in range(50):
+            reference, blocked = np.random.default_rng(seed), np.random.default_rng(seed)
+            subsets = _feature_subsets(blocked, n_features, k)
+            # The first block holds exactly _FIRST_BLOCK nodes, so both
+            # generators have made the same draws after it.
+            for _ in range(learn._FIRST_BLOCK):
+                expected = np.sort(reference.choice(n_features, size=k, replace=False)).tolist()
+                assert next(subsets) == expected
+            assert blocked.bit_generator.state == reference.bit_generator.state
+            # The next block's subsets are the next calls' too.
+            for _ in range(3):
+                expected = np.sort(reference.choice(n_features, size=k, replace=False)).tolist()
+                assert next(subsets) == expected
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_live_features_split_like_a_full_scan(self, data):
+        n_rows = data.draw(st.integers(1, 40))
+        n_features = data.draw(st.integers(1, 30))
+        rows = data.draw(st.lists(st.sets(st.integers(0, n_features - 1)),
+                                  min_size=n_rows, max_size=n_rows))
+        labels = data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+        # A bootstrap draw: bit i stands for input row draws[i].
+        draws = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=n_rows))
+        x = np.zeros((len(draws), n_features), dtype=np.uint8)
+        for i, r in enumerate(draws):
+            x[i, sorted(rows[r])] = 1
+        cols = _column_bits(x)
+        ypos = sum(1 << i for i, r in enumerate(draws) if labels[r])
+        mask = data.draw(st.integers(1, (1 << len(draws)) - 1))
+        live = _live_features(mask, [sorted(rows[r]) for r in draws])
+        assert live == [f for f in range(n_features) if mask & cols[f]]
+        mask_pos = mask & ypos
+        counts = (mask.bit_count(), mask_pos.bit_count())
+        assert (_best_split(cols, mask, mask_pos, *counts, live)
+                == _best_split(cols, mask, mask_pos, *counts, range(n_features)))
+
+
 class TestChunkedScoring:
     """``predict_proba_batch`` scores SCORE_CHUNK_ROWS rows at a time."""
 
@@ -940,3 +986,9 @@ class TestSelectModelWorkers:
         # Every candidate separates these folds, so the first one wins the tie.
         assert [row.chosen for row in model.inner_cv] == [True] + [False] * 8
         assert {(row.mean_f1, row.mean_auc) for row in model.inner_cv} == {(1.0, 1.0)}
+        assert all(row.mean_fit_s > 0 for row in model.inner_cv)
+
+    def test_fit_times_do_not_change_a_ranking(self):
+        row = learn.CandidateScore("KNN", {"k": 1}, 0.5, 0.75, False, mean_fit_s=0.25)
+        assert row == learn.CandidateScore("KNN", {"k": 1}, 0.5, 0.75, False, mean_fit_s=3.0)
+        assert row != learn.CandidateScore("KNN", {"k": 1}, 0.5, 0.75, True, mean_fit_s=0.25)
