@@ -556,6 +556,64 @@ class TestPipeline:
             ("jira", "", "HADOOP-1"),
         ]
 
+    @pytest.mark.parametrize(
+        "config,flags,rows,expected",
+        [
+            ({"tracker": "github", "project_key": "apache/dubbo",
+              "base_url": "https://config.example.org"},
+             [],
+             [("7", "")],
+             [("github", "apache/dubbo", "https://config.example.org", "7")]),
+            ({"base_url": "https://config.example.org"},
+             ["--tracker", "jira", "--base-url", "https://jira.example.org",
+              "--tracker", "bugzilla"],
+             [("HADOOP-1", "jira"), ("7", "bugzilla")],
+             [("bugzilla", "", "https://config.example.org", "7"),
+              ("jira", "", "https://jira.example.org", "HADOOP-1")]),
+            ({"tracker": "jira", "project_key": "HADOOP",
+              "base_url": "https://config.example.org"},
+             ["--base-url", "https://lone.example.org"],
+             [("HADOOP-1", ""), ("7", "bugzilla")],
+             [("bugzilla", "", "https://lone.example.org", "7"),
+              ("jira", "", "https://lone.example.org", "HADOOP-1")]),
+            ({"tracker": "jira", "project_key": "HADOOP",
+              "base_url": "https://config.example.org"},
+             ["--tracker", "github", "--project", "a/x"],
+             [("7", "")],
+             [("github", "a/x", "https://config.example.org", "7")]),
+        ],
+        ids=["config-tracker", "config-base-url", "lone-base-url", "flags-override"],
+    )
+    def test_check_reads_trackers_and_servers_from_the_config(
+        self, config, flags, rows, expected, tmp_path, monkeypatch
+    ):
+        requests = []
+
+        def fetch(transport, gateway_config, key):
+            requests.append(
+                (gateway_config.tracker.value, gateway_config.repo, gateway_config.base_url, key)
+            )
+            if gateway_config.tracker is TrackerKind.GITHUB:
+                return 200, {"state": "open"}
+            if gateway_config.tracker is TrackerKind.BUGZILLA:
+                return 200, {"bugs": [{"status": "NEW", "resolution": ""}]}
+            return 200, {"fields": {"status": {"name": "Open"}}}
+
+        monkeypatch.setattr(tracker.HttpTransport, "fetch", fetch)
+        config_path = tmp_path / "project.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        source = tmp_path / "remaining.tsv"
+        source.write_text(datasetio.format_table(
+            ("comment_text", "issue_key", "tracker", "label"),
+            [[f"remove after {key}", key, kind, "OnHold"] for key, kind in rows],
+        ), encoding="utf-8")
+        code = cli_main(
+            ["check", "--input", str(source), "--config", str(config_path), *flags,
+             "--out", str(tmp_path / "check.json")]
+        )
+        assert code == 0
+        assert sorted(requests) == expected
+
     def test_check_asks_each_tracker_its_own_server(self, tmp_path, monkeypatch):
         # Two fixture servers behind requests.get: a Jira one and a Bugzilla one.
         servers = {
