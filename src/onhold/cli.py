@@ -112,11 +112,13 @@ def load_project_config(path: str | Path) -> ProjectConfig:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    for key in payload:
+    for key, value in payload.items():
         lowered = key.lower()
         if any(hint in lowered for hint in _SECRET_HINTS):
             raise ConfigError(
@@ -126,16 +128,18 @@ def load_project_config(path: str | Path) -> ProjectConfig:
             )
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
-    kind = (
-        TrackerKind.parse(str(payload["tracker"])) if "tracker" in payload else None
-    )
+        if not isinstance(value, str):
+            raise ConfigError(
+                f"{path}: config key {key!r} must be a string, got {json.dumps(value)}"
+            )
+    kind = TrackerKind.parse(payload["tracker"]) if "tracker" in payload else None
     return ProjectConfig(
-        repo_path=str(payload.get("repo_path", "")),
-        branch=str(payload.get("branch", "HEAD")) or "HEAD",
+        repo_path=payload.get("repo_path", ""),
+        branch=payload.get("branch", "HEAD") or "HEAD",
         tracker=kind,
-        project_key=str(payload.get("project_key", "")),
-        base_url=str(payload.get("base_url", "")),
-        cache_dir=str(payload.get("cache_dir", "")),
+        project_key=payload.get("project_key", ""),
+        base_url=payload.get("base_url", ""),
+        cache_dir=payload.get("cache_dir", ""),
     )
 
 
@@ -147,11 +151,16 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _destination(out: str | None) -> Path | None:
+    """The file an ``--out`` value names, or None for stdout."""
+    return None if out in (None, "", "-") else Path(out).resolve()
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out in (None, "", "-"):
+    if (path := _destination(out)) is None:
         sys.stdout.write(text)
     else:
-        with io.open(out, "w", encoding="utf-8", newline="\n") as handle:
+        with io.open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
 
 
@@ -160,51 +169,33 @@ def _load_config(args: argparse.Namespace) -> ProjectConfig | None:
     return load_project_config(path) if path else None
 
 
-def _tracker_projects(
+def _trackers(
     args: argparse.Namespace, config: ProjectConfig | None = None
-) -> list[tuple[TrackerKind, str]]:
-    """Each ``--tracker`` paired by position with its ``--project``.
+) -> list[tuple[TrackerKind | None, str, str]]:
+    """(tracker, project, base URL) of each ``--tracker``, paired by position.
 
     Without ``--tracker`` flags, the config's tracker and project key
-    (if any) form the one pair.
+    form the one such entry.  A last entry, whose tracker is None, names
+    the server of every tracker left without one: the config's
+    ``base_url``, or without ``--tracker`` flags a lone ``--base-url``.
+    A value not given, or a command without ``--base-url``, reads ``""``.
     """
     trackers = [TrackerKind.parse(t) for t in args.tracker or []]
-    projects = list(args.project or [])
+    projects = args.project or []
+    urls = getattr(args, "base_url", None) or []
     if len(projects) > len(trackers):
         raise ConfigError(
             f"{len(projects)} --project values for {len(trackers)} --tracker values"
         )
-    if not trackers and config is not None and config.tracker is not None:
-        return [(config.tracker, config.project_key)]
-    projects += [""] * (len(trackers) - len(projects))
-    return list(zip(trackers, projects))
-
-
-def _tracker_base_urls(
-    args: argparse.Namespace, config: ProjectConfig | None = None
-) -> tuple[dict[TrackerKind, str], str]:
-    """Each ``--tracker``'s server, the ``--base-url`` in the same position,
-    and the server of every other tracker.
-
-    Without ``--tracker`` flags, one ``--base-url`` serves every
-    tracker.  The config's ``base_url`` serves a tracker left without one.
-    """
-    trackers = [TrackerKind.parse(t) for t in args.tracker or []]
-    urls = list(args.base_url or [])
     if len(urls) > max(len(trackers), 1):
         raise ConfigError(
             f"{len(urls)} --base-url values for {len(trackers)} --tracker values"
         )
-    fallback = config.base_url if config else ""
+    other = config.base_url if config else ""
     if not trackers:
-        return {}, urls[0] if urls else fallback
-    paired: dict[TrackerKind, str] = {}
-    for kind, url in zip(trackers, urls):
-        if paired.setdefault(kind, url) != url:
-            raise ConfigError(
-                f"{kind.value} takes one --base-url, got {paired[kind]!r} and {url!r}"
-            )
-    return paired, fallback
+        named = [(config.tracker, config.project_key, "")] if config and config.tracker else []
+        return [*named, (None, "", urls[0] if urls else other)]
+    return [*itertools.zip_longest(trackers, projects, urls, fillvalue=""), (None, "", other)]
 
 
 def _patterns(
@@ -213,7 +204,7 @@ def _patterns(
     issue_keys: Sequence[str] = (),
 ) -> Patterns:
     """Pattern sets of the tracker/project pairs, else derived from issue keys."""
-    pairs = _tracker_projects(args, config)
+    pairs = [(kind, project) for kind, project, _ in _trackers(args, config) if kind]
     if not pairs:
         return derive_patterns(issue_keys)
     return PatternCollection(tuple(build_patterns(kind, key) for kind, key in pairs))
@@ -419,15 +410,22 @@ def _cmd_check(args: argparse.Namespace) -> None:
     positions = datasetio.require_columns(
         header, ("comment_text", "issue_key"), str(args.input)
     )
-    pairs = _tracker_projects(args, config)
-    default_kind = pairs[0][0] if pairs else None
+    entries = _trackers(args, config)
+    # Rows without a tracker column take the first tracker named.
+    default_kind = entries[0][0]
     # A GitHub key names no repository, so two would leave each issue's
     # repository a guess.  Jira and Bugzilla requests ignore --project,
     # so their gateways, and hence their cache keys, get no repository.
-    repos = sorted({project for kind, project in pairs if kind is TrackerKind.GITHUB})
+    repos = sorted({project for kind, project, _ in entries if kind is TrackerKind.GITHUB})
     if len(repos) > 1:
         raise ConfigError(f"github takes one --project, got {', '.join(map(repr, repos))}")
-    base_urls, other_base_url = _tracker_base_urls(args, config)
+    # Each tracker's server; None's serves the trackers left without one.
+    servers: dict[TrackerKind | None, str] = {}
+    for kind, _, url in entries:
+        if url and servers.setdefault(kind, url) != url:
+            raise ConfigError(
+                f"{kind.value} takes one --base-url, got {servers[kind]!r} and {url!r}"
+            )
     cache_dir = args.cache_dir or (config.cache_dir if config else "")
 
     comments: list[dict[str, object]] = []
@@ -470,7 +468,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
     for kind in sorted(per_tracker, key=lambda item: item.value):
         gateway_config = tracker.TrackerConfig(
             tracker=kind,
-            base_url=base_urls.get(kind, other_base_url),
+            base_url=servers.get(kind) or servers.get(None, ""),
             repo=repos[0] if repos and kind is TrackerKind.GITHUB else "",
             fixture_dir=args.fixtures,
             cache_dir=cache_dir or None,
@@ -489,6 +487,10 @@ def _cmd_check(args: argparse.Namespace) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
+    # Both tables have six columns, so one written after the other on one
+    # stream would read as a single table.
+    if args.compare and _destination(args.out) == _destination(args.comparisons_out):
+        raise _UsageError("evaluate: --compare needs --out and --comparisons-out to differ")
     rows = datasetio.load_dataset(args.dataset)
     tokens, labels = _prepare_vectors(args, rows)
     _info(_dataset_echo(args.dataset, labels))

@@ -45,8 +45,7 @@ Floyd's sampling algorithm (Bentley & Floyd 1987) for a block of
 nodes in one ``integers`` call and replays Floyd's rule over them, so
 the trees equal per-node ``choice`` trees.  When every sampled feature
 is constant at a node, the fallback scans only the features some row
-of the node has, since no other one can split it; a large node, whose
-rows hold about as many features as there are, scans them all.
+of the node has, since no other one can split it.
 
 ``select_model`` runs its (candidate, inner fold) fits in up to one
 forked worker process per usable CPU, and in this process when there
@@ -333,9 +332,6 @@ def _grow_tree(
     n_features = len(cols)
     n_sample = max(1, math.isqrt(n_features))
     subsets = _feature_subsets(rng, n_features, n_sample)
-    # Below this many rows a node's live features cost less to collect
-    # than a scan of every feature.
-    live_rows = n_features * n_rows / max(1, sum(map(len, bit_features)))
     tree = _Tree([], [], [], [])
 
     def new_node(frac: float) -> int:
@@ -361,13 +357,11 @@ def _grow_tree(
         if npos == 0 or npos == n or (max_depth is not None and depth >= max_depth):
             continue
         split = _best_split(cols, mask, mask_pos, n, npos, next(subsets))
-        if split is None and n_sample < n_features:
-            # Sampled features were all constant here; fall back to a
-            # full scan so a pure-yet-splittable node is not wasted.  A
-            # feature no row here has is constant, so only the live
-            # ones can split, and in the same order.
-            feats = _live_features(mask, bit_features) if n < live_rows else range(n_features)
-            split = _best_split(cols, mask, mask_pos, n, npos, feats)
+        if split is None:
+            # Sampled features were all constant here; scan the others
+            # so a splittable node is not wasted.  A feature no row here
+            # has is constant too, so only the live ones need scanning.
+            split = _best_split(cols, mask, mask_pos, n, npos, _live_features(mask, bit_features))
         if split is None:
             continue
         tree.feature[node] = split
@@ -420,9 +414,10 @@ class _ExtraTrees:
     def fit(cls, x: np.ndarray, y: np.ndarray, hp: dict[str, Any], seed: int) -> "_ExtraTrees":
         n_rows = x.shape[0]
         streams = np.random.SeedSequence(seed).spawn(hp["n_trees"])
-        # ExtraTrees grows every tree on all rows, so the columns are built once.
-        cols, ypos = _column_bits(x), _column_bits(y[:, None])[0]
         row_features = bit_features = [np.flatnonzero(row).tolist() for row in x]
+        if not cls.bootstrap:
+            # ExtraTrees grows every tree on all rows, so the columns are built once.
+            cols, ypos = _column_bits(x), _column_bits(y[:, None])[0]
         trees = []
         for stream in streams:
             rng = np.random.default_rng(stream)

@@ -16,9 +16,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onhold
-from onhold import datasetio, learn, ngrams, tracker
+from onhold import datasetio, evalstats, learn, ngrams, tracker
 from onhold.cli import cli_main, load_project_config
 from onhold.errors import ConfigError
 from onhold.issues import TrackerKind
@@ -65,6 +67,16 @@ def dataset_path(tmp_path) -> Path:
     path = tmp_path / "dataset.tsv"
     datasetio.save_dataset(rows, path)
     return path
+
+
+CONFIG_KEYS = ("repo_path", "branch", "tracker", "project_key", "base_url", "cache_dir")
+# Any JSON value, plus strings that name a tracker.
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+    | st.sampled_from(["jira", " GitHub ", "bugzilla"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4,
+)
 
 
 def read_table(path: Path):
@@ -238,6 +250,41 @@ class TestProjectConfig:
         path.write_text("{", encoding="utf-8")
         with pytest.raises(ConfigError, match="JSON"):
             load_project_config(path)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("cache_dir", None), ("branch", False), ("project_key", 7), ("tracker", ["jira"])],
+    )
+    def test_a_value_that_is_not_a_string_is_rejected(self, tmp_path, key, value):
+        path = tmp_path / "project.json"
+        path.write_text(json.dumps({key: value}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be a string"):
+            load_project_config(path)
+
+    def test_a_file_that_is_not_utf8_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "project.json"
+        path.write_bytes(b'{"branch": "tr\xfcnk"}')
+        code = cli_main(["mine", "--repo", str(tmp_path), "--config", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8")
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.dictionaries(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES))
+    def test_fields_are_the_strings_given_or_a_config_error(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("config") / "project.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        try:
+            config = load_project_config(path)
+        except ConfigError:
+            return
+        for key, value in payload.items():
+            field = getattr(config, key)
+            if key == "tracker":
+                assert isinstance(value, str) and field.value == value.strip().lower()
+            elif key == "branch" and value == "":
+                assert field == "HEAD"
+            else:
+                assert field == value
 
 
 class TestDetect:
@@ -992,6 +1039,27 @@ class TestEvaluate:
         assert header == ["pair", "metric", "p", "adjusted_p", "cliffs_delta", "magnitude"]
         assert [fields[1] for fields in rows] == ["precision", "recall", "f1", "auc"]
         assert all(fields[0] == "ngram-nb vs ngram-svm" for fields in rows)
+
+    @pytest.mark.parametrize("same", ["stdout", "file"])
+    def test_compare_refuses_one_destination_for_both_tables(
+        self, same, dataset_path, tmp_path, monkeypatch, capsys
+    ):
+        def no_folds(*args, **kwargs):
+            raise AssertionError("folds ran")
+
+        monkeypatch.setattr(evalstats, "evaluate_variants", no_folds)
+        out = tmp_path / "results.tsv"
+        flags = {"stdout": [],
+                 "file": ["--out", str(out), "--comparisons-out", f"{tmp_path}/./results.tsv"]}
+        code = cli_main(
+            ["evaluate", "--dataset", str(dataset_path), "--k", "3",
+             "--variants", "ngram-nb,ngram-svm", "--compare", *flags[same]]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--out and --comparisons-out to differ" in captured.err
+        assert not out.exists()
 
     def test_all_variants_are_evaluated_reproducibly(self, dataset_path, tmp_path):
         variants = "ngram-auto,bow-auto,ngram-smote-auto,ngram-nb,ngram-svm,ngram-knn"
