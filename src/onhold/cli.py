@@ -157,10 +157,10 @@ def _destination(out: str | None) -> Path | None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if (path := _destination(out)) is None:
+    if _destination(out) is None:
         sys.stdout.write(text)
     else:
-        with io.open(path, "w", encoding="utf-8", newline="\n") as handle:
+        with io.open(out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
 
 
@@ -204,7 +204,7 @@ def _patterns(
     issue_keys: Sequence[str] = (),
 ) -> Patterns:
     """Pattern sets of the tracker/project pairs, else derived from issue keys."""
-    pairs = [(kind, project) for kind, project, _ in _trackers(args, config) if kind]
+    pairs = [(kind, project) for kind, project, _ in _trackers(args, config) if kind is not None]
     if not pairs:
         return derive_patterns(issue_keys)
     return PatternCollection(tuple(build_patterns(kind, key) for kind, key in pairs))
