@@ -8,6 +8,7 @@ recorded tracker fixtures, and report renders the check output.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -321,6 +322,12 @@ class TestDetect:
     def test_jira_patterns_need_a_project(self, capsys):
         assert cli_main(["detect", "--dump-patterns", "--tracker", "jira"]) == 1
         assert "project" in capsys.readouterr().err.lower()
+
+    def test_a_project_spanning_two_lines_is_refused(self, capsys):
+        argv = ["detect", "--dump-patterns", "--tracker", "jira", "--project", "HA\nDOOP"]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'HA\\nDOOP'" in err
 
 
 class TestPipeline:
@@ -1322,3 +1329,63 @@ class TestDeterminism:
                  "--variants", "ngram-nb", "--seed", "5", "--out", str(out)]
             ) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+def _classify_table_rows(size: int, seed: int) -> list[datasetio.DatasetRow]:
+    """Corpus rows whose texts also hold line breaks, non-ASCII letters and URLs."""
+    from corpus import generate_corpus
+
+    rows = []
+    for i, entry in enumerate(generate_corpus(size=size, seed=seed)):
+        text = entry.text
+        if i % 5 == 0:
+            text = text.replace(" ", "\n", 1)
+        if i % 7 == 0:
+            text = "Straße İndex Kelvin ſee " + text
+        if i % 11 == 0:
+            text += " see https://example.com/x?y=1\r\n" + entry.issue_key
+        if i % 13 == 0:
+            text = entry.issue_key + "\n" + text
+        rows.append(datasetio.DatasetRow(text, f"src/K{i}.java", 1 + i, entry.issue_key,
+                                         entry.label))
+    return rows
+
+
+class TestClassifyGolden:
+    """sha256 of the classify table for three models, over more than two score chunks.
+
+    2,049 rows make two chunks, the second with a lone last row joined
+    to it; texts with line breaks and non-ASCII letters cross both.
+    """
+
+    DIGESTS = {
+        "NaiveBayes": "e0dcf8b4f94b908f0fc5852d360c9c7cf83163d1e38658ddedb566fb59f25d8f",
+        "ExtraTrees": "77b37855a574f43555e5d0411d0958b0ca42dcf5fa72042dc88582ec4f464e04",
+        "LinearSVM": "0fe305e49cc6764897c8ad318a8cbe7c113cfbfecf4a7b27c61fee90c82304e5",
+    }
+
+    @pytest.fixture(scope="class")
+    def tables(self, tmp_path_factory):
+        from corpus import generate_corpus
+
+        root = tmp_path_factory.mktemp("classify-golden")
+        training = root / "corpus.tsv"
+        datasetio.save_dataset(
+            [datasetio.DatasetRow(e.text, f"src/C{i}.java", 1, e.issue_key, e.label)
+             for i, e in enumerate(generate_corpus(size=300, seed=3))],
+            training,
+        )
+        table = root / "table.tsv"
+        datasetio.save_dataset(_classify_table_rows(2049, 11), table)
+        return root, training, table
+
+    @pytest.mark.parametrize("algorithm", list(DIGESTS))
+    def test_classify_table_digest(self, tables, algorithm):
+        root, training, table = tables
+        model, vocab, out = (root / f"{algorithm}{suffix}" for suffix in (".json", ".tsv", ".out"))
+        assert cli_main(["train", "--dataset", str(training), "--algorithm", algorithm,
+                         "--model", str(model), "--vocab", str(vocab), "--seed", "2"]) == 0
+        assert cli_main(["classify", "--model", str(model), "--vocab", str(vocab),
+                         "--input", str(table), "--out", str(out)]) == 0
+        assert len(read_table(out)[1]) == 2049
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[algorithm]

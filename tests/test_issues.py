@@ -81,6 +81,15 @@ class TestPatternInstantiation:
         with pytest.raises(ConfigError):
             build_patterns(TrackerKind.JIRA, "   ")
 
+    @pytest.mark.parametrize("tracker", list(TrackerKind))
+    @pytest.mark.parametrize("key", ["HA\nDOOP", "HA\r\nDOOP", "HA\u2028DOOP"])
+    def test_a_project_key_with_a_line_break_is_refused(self, tracker, key):
+        # A key spanning lines would let a reference match across a
+        # line break of the comment text.
+        with pytest.raises(ConfigError, match="line break") as caught:
+            build_patterns(tracker, key)
+        assert repr(key) in str(caught.value)
+
     def test_empty_collection_is_rejected(self):
         with pytest.raises(ConfigError):
             PatternCollection(())
