@@ -101,12 +101,15 @@ def build_patterns(tracker: TrackerKind, project_key: str = "") -> PatternSet:
 
     ``project_key`` is required for Jira (it names the issue key prefix,
     e.g. ``HADOOP``) and optional elsewhere.  Matching is case-insensitive.
-    Raises :class:`ConfigError` when instantiation produces an uncompilable
-    pattern.
+    No pattern matches a line break, so a text's lines can be matched
+    joined or apart alike; a key containing one is a ConfigError, as is
+    instantiation that produces an uncompilable pattern.
     """
     key = project_key.strip()
     if tracker is TrackerKind.JIRA and not key:
         raise ConfigError("a Jira pattern set needs a non-empty project key")
+    if len(key.splitlines()) > 1:
+        raise ConfigError(f"project key {key!r} contains a line break")
 
     if tracker is TrackerKind.BUGZILLA:
         detection = [_instantiate(_BUGZILLA_ID, key), _BUGZILLA_URL]
