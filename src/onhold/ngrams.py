@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import DataFormatError
 
 TokenTuple = tuple[str, ...]
@@ -194,6 +196,16 @@ def vectorize(comment: Sequence[str], vocab: NGramVocabulary) -> FeatureVector:
             if None in node:
                 found.add(node[None])
     return FeatureVector(tuple(sorted(found)))
+
+
+def term_matrix(comments: Sequence[Sequence[str]], vocab: NGramVocabulary) -> np.ndarray:
+    """0/1 matrix with one row per comment: cell (i, j) is 1 iff term j occurs in comment i."""
+    if len(vocab) == 0:
+        raise ValueError("empty vocabulary")
+    x = np.zeros((len(comments), len(vocab)), dtype=np.uint8)
+    for i, comment in enumerate(comments):
+        x[i, list(vectorize(comment, vocab).indices)] = 1
+    return x
 
 
 def format_vocabulary(vocab: NGramVocabulary) -> str:

@@ -10,7 +10,7 @@ package exists to detect.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -204,3 +204,12 @@ def preprocess(
     if isinstance(lemma_table, LemmaTable):
         return [lemma_table.lemma(tok) for tok in tokens]
     return [lemmatize(tok, lemma_table) for tok in tokens]
+
+
+def preprocess_many(
+    texts: Sequence[str],
+    patterns: Patterns,
+    lemma_table: Mapping[str, str] | None = None,
+) -> list[TokenSequence]:
+    """``preprocess`` of each text."""
+    return [preprocess(text, patterns, lemma_table) for text in texts]

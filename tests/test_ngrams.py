@@ -11,6 +11,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from onhold.ngrams import (
     extract_terms,
     format_vocabulary,
     parse_vocabulary,
+    term_matrix,
     vectorize,
     weight_term,
 )
@@ -235,6 +237,69 @@ class TestVectorizeAgreesWithTheReference:
         vocab = vocabulary_of("b", "abcd")
         assert vectorize(list("aabcdb"), vocab).indices == (0, 1)
         assert vectorize(list("abcab"), vocab).indices == (0,)
+
+
+def oracle_term_matrix(comments, vocab):
+    """Walk a dict trie of the terms from every start of every comment on its own."""
+    trie = {}
+    for i, term in enumerate(vocab.terms):
+        node = trie
+        for token in term.tokens:
+            node = node.setdefault(token, {})
+        node[None] = i
+    x = np.zeros((len(comments), len(vocab)), dtype=np.uint8)
+    for row, comment in enumerate(comments):
+        for start in range(len(comment)):
+            node = trie
+            for token in comment[start:]:
+                node = node.get(token)
+                if node is None:
+                    break
+                if None in node:
+                    x[row, node[None]] = 1
+    return x
+
+
+# Terms share prefixes ("ab", "abc", ...), reach the full ten tokens, and
+# the comments mix their pieces with tokens no term holds.
+_LONG_TERMS = st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=MAX_NGRAM_LEN)
+
+
+@st.composite
+def term_matrix_cases(draw):
+    comments = draw(st.lists(
+        st.lists(st.sampled_from(("a", "b", "c", "z", "")), max_size=24), max_size=6))
+    if draw(st.booleans()):
+        vocab = build_bow_vocabulary([c for c in comments if c] or [["a"]])
+    else:
+        terms = draw(st.lists(_LONG_TERMS.map(tuple), min_size=1, max_size=16, unique=True))
+        if draw(st.booleans()):
+            full = draw(_LONG_TERMS.filter(lambda t: len(t) == MAX_NGRAM_LEN).map(tuple))
+            terms = [t for t in terms if t != full] + [full]
+            comments = [*comments, list(full) * 2]
+        vocab = vocabulary_of(*terms)
+    return comments, vocab
+
+
+class TestTermMatrixAgreesWithTheOracle:
+    @settings(max_examples=300)
+    @given(term_matrix_cases())
+    @example(([list("abcabcabca"), [], list("zab")], vocabulary_of("ab", "abc", "abcabcabca", "b")))
+    def test_equals_the_per_row_trie_walk(self, case):
+        comments, vocab = case
+        x = term_matrix(comments, vocab)
+        assert x.dtype == np.uint8
+        assert x.shape == (len(comments), len(vocab))
+        assert np.array_equal(x, oracle_term_matrix(comments, vocab))
+        for comment, row in zip(comments, x):
+            assert vectorize(comment, vocab).indices == tuple(np.flatnonzero(row).tolist())
+
+    def test_empty_vocabulary_is_rejected(self):
+        with pytest.raises(ValueError):
+            term_matrix([["a"]], NGramVocabulary(()))
+
+    def test_no_comments_make_an_empty_matrix(self):
+        assert term_matrix([], vocabulary_of("a", "b")).shape == (0, 2)
 
 
 class TestValidation:

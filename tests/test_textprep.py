@@ -8,17 +8,18 @@ exception table before running the implementation.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onhold.errors import DataFormatError
-from onhold.issues import abstract_terms
+from onhold.issues import TrackerKind, abstract_terms, build_patterns, derive_patterns
 from onhold.textprep import (
     LemmaTable,
     clean,
     lemmatize,
     load_lemma_table,
     preprocess,
+    preprocess_many,
 )
 
 
@@ -201,3 +202,76 @@ class TestLemmaMemo:
             assert preprocess("foo does", jira_patterns, plain) == ["foo", "doe"]
             assert preprocess("foo does", jira_patterns, custom) == ["baz", "do"]
         assert preprocess("foo does", jira_patterns, load_lemma_table()) == ["foo", "do"]
+
+
+def oracle_preprocess(comment_text, patterns, lemma_table=None):
+    """One text at a time: abstract, lowercase, clean, split, lemmatize."""
+    abstracted = abstract_terms(comment_text, patterns)
+    tokens = clean(abstracted.lower()).split()
+    if isinstance(lemma_table, LemmaTable):
+        return [lemma_table.lemma(tok) for tok in tokens]
+    return [lemmatize(tok, lemma_table) for tok in tokens]
+
+
+# Line breaks, letters whose lowercase is or holds ASCII (dotted I, the
+# Kelvin sign, long s), references at line starts and ends, and URLs.
+PIECES = (
+    "\n", "\r", "\r\n", "\x85", "\u2028", " ", "-", "#", ".", "İ", "\u212a", "ſ", "Σ", "ΑΣ",
+    "bug 12", "\nbug 12", "HADOOP-7", "\nHADOOP-7", "HADOOP-7\n", "hadoop-7.x", "ant 3",
+    "issue #4", "bz 9", "https://issues.apache.org/jira/browse/HADOOP-3",
+    "https://github.com/a/b/issues/5", "http://bz.example.org/show_bug.cgi?id=6",
+    "https://example.com/a?b=1", "www.example.org", "fixed", "Waiting", "statuses",
+    "DB2", "x", "0",
+)
+TEXTS = st.lists(st.sampled_from(PIECES) | st.text(max_size=3), max_size=12).map("".join)
+PATTERN_SETS = (
+    derive_patterns(["HADOOP-1"]),
+    build_patterns(TrackerKind.BUGZILLA, "ant"),
+    build_patterns(TrackerKind.GITHUB),
+)
+
+
+def lemma_tables():
+    """The bundled LemmaTable, a fresh custom one, the same as a plain dict, or none."""
+    custom = {"fixed": "repair", "hadoop": "elephant", "x": "y", "waiting": "wait"}
+    return st.sampled_from(["bundled", "custom", "plain", "none"]).map(
+        lambda kind: {
+            "bundled": load_lemma_table,
+            "custom": lambda: LemmaTable(custom),
+            "plain": lambda: dict(custom),
+            "none": lambda: None,
+        }[kind]()
+    )
+
+
+@st.composite
+def batches(draw, counts):
+    """``n`` texts cycled with a drawn stride from a drawn pool, so long batches stay cheap."""
+    n = draw(st.sampled_from(counts))
+    pool = draw(st.lists(TEXTS, min_size=1, max_size=16))
+    stride = draw(st.integers(1, 7))
+    return [pool[(i * stride) % len(pool)] for i in range(n)]
+
+
+class TestPreprocessMany:
+    """``preprocess_many`` equals ``oracle_preprocess`` on every text."""
+
+    @settings(max_examples=300)
+    @given(batches(range(9)), st.sampled_from(PATTERN_SETS), lemma_tables())
+    @example(["HADOOP-7\nbug 12", "\n", "", "see\rHADOOP-7\n"], PATTERN_SETS[0], None)
+    def test_short_batches_equal_the_oracle(self, texts, patterns, table):
+        assert preprocess_many(texts, patterns, table) == [
+            oracle_preprocess(text, patterns, table) for text in texts
+        ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(batches((0, 1, 1023, 1024, 1025, 1026)), st.sampled_from(PATTERN_SETS),
+           lemma_tables())
+    def test_batches_at_chunk_edges_equal_the_oracle(self, texts, patterns, table):
+        assert preprocess_many(texts, patterns, table) == [
+            oracle_preprocess(text, patterns, table) for text in texts
+        ]
+
+    @given(TEXTS, st.sampled_from(PATTERN_SETS))
+    def test_preprocess_is_a_batch_of_one(self, text, patterns):
+        assert preprocess(text, patterns) == oracle_preprocess(text, patterns)
