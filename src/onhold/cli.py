@@ -22,6 +22,8 @@ from datetime import datetime
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import datasetio, evalstats, learn, miner, ngrams, report, textprep, tracker
 from .errors import (
     ConfigError,
@@ -296,9 +298,7 @@ def _prepare_vectors(
 ) -> tuple[list[list[str]], list[Label]]:
     patterns = _patterns(args, issue_keys=[row.issue_key for row in rows])
     lemma_table = textprep.load_lemma_table(args.lemma_table)
-    tokens = [
-        textprep.preprocess(row.comment_text, patterns, lemma_table) for row in rows
-    ]
+    tokens = textprep.preprocess_many([row.comment_text for row in rows], patterns, lemma_table)
     labels = [row.label for row in rows]
     return tokens, labels
 
@@ -334,6 +334,11 @@ def _cmd_classify(args: argparse.Namespace) -> None:
             f"{args.vocab} does not match the model's vocabulary hash; "
             "pass the vocabulary file saved at training time"
         )
+    if len(vocab) != model.n_features:
+        raise ConfigError(
+            f"{args.vocab} has {len(vocab)} terms but the model has "
+            f"{model.n_features} features"
+        )
     lemma_table = textprep.load_lemma_table(args.lemma_table)
     header, numbered = datasetio.load_table(args.input)
     positions = datasetio.require_columns(header, ("comment_text",), str(args.input))
@@ -349,13 +354,18 @@ def _cmd_classify(args: argparse.Namespace) -> None:
         if name in positions
     }
     kept = [i for i in range(len(header)) if i not in drop]
-    vectors = [
-        ngrams.vectorize(
-            textprep.preprocess(fields[text_at], patterns, lemma_table), vocab
+    # Featurized and scored a chunk at a time, so no whole-table matrix
+    # is built, in the chunks predict_proba_batch would cut.
+    texts = [fields[text_at] for _, fields in numbered]
+    scores = np.concatenate([
+        learn.predict_proba_batch(
+            model,
+            ngrams.term_matrix(
+                textprep.preprocess_many(texts[start:end], patterns, lemma_table), vocab
+            ),
         )
-        for _, fields in numbered
-    ]
-    scores = learn.predict_proba_batch(model, learn.feature_matrix(vectors, model.n_features))
+        for start, end in learn.score_chunks(len(texts))
+    ])
     out_rows: list[list[str]] = []
     n_on_hold = 0
     for (_, fields), score in zip(numbered, scores):

@@ -16,7 +16,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DataFormatError
+from .errors import DataFormatError, read_utf8
 from .learn import Label
 from .timestamps import format_timestamp, parse_timestamp
 
@@ -182,8 +182,7 @@ def parse_table(
 
 
 def load_table(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_table(text, source=str(path))
+    return parse_table(read_utf8(path), source=str(path))
 
 
 def _row_fields(row: DatasetRow) -> list[str]:
@@ -303,5 +302,4 @@ def parse_dataset(text: str, source: str = "<dataset>") -> list[DatasetRow]:
 
 def load_dataset(path: str | Path) -> list[DatasetRow]:
     """Read a dataset TSV; malformed rows abort with their line number."""
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_dataset(text, source=str(path))
+    return parse_dataset(read_utf8(path), source=str(path))

@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the UTF-8 file reader whose error names the file."""
+
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class OnholdError(Exception):
@@ -35,3 +39,11 @@ class TrackerAuthError(TrackerError):
 
 class TrackerTemporaryError(TrackerError):
     """Transient failure (rate limit / server error) after retries."""
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; one that is not UTF-8 is a DataFormatError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8: {exc}") from exc

@@ -431,7 +431,7 @@ def evaluate_variants(
     """k-fold evaluation of classification variants on tokenized comments.
 
     Each training fold is featurized by ``learn.featurize``, as ``train``
-    featurizes the whole dataset, and its test fold is vectorized with
+    featurizes the whole dataset, and its test fold is featurized in
     that fold's vocabulary.  A test fold with one class contributes a
     neutral AUC of 0.5.
     """
@@ -459,7 +459,7 @@ def evaluate_variants(
                     [comments[i] for i in train_idx], [labels[i] for i in train_idx], bow=bow
                 )
                 test_ds = learn.make_dataset(
-                    [ngrams.vectorize(comments[i], vocab) for i in fold],
+                    ngrams.term_matrix([comments[i] for i in fold], vocab),
                     [labels[i] for i in fold], len(vocab),
                 )
                 prepared[bow] = train_ds, test_ds

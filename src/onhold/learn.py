@@ -20,7 +20,8 @@ and ``Dataset``, for ``train`` and for each training fold of
 ``evaluate`` alike, so ``evaluate`` measures the model ``train`` ships.
 
 A labeled row has one form: a row of a ``Dataset``'s 0/1 matrix, which
-``feature_matrix`` builds from ``FeatureVector``s.  Rows enter a
+``ngrams.term_matrix`` builds from tokens and ``feature_matrix`` from
+``FeatureVector``s.  Rows enter a
 ``Dataset`` sorted by a content hash of each row, and every random
 choice (bootstrap draws, feature subsets, SGD order) is made on that
 order, so permuting the input rows cannot change a fitted model.  A
@@ -159,15 +160,22 @@ def _canonical(x: np.ndarray, y: np.ndarray, provenance: str) -> Dataset:
 
 
 def make_dataset(
-    vectors: Sequence[FeatureVector],
+    vectors: Sequence[FeatureVector] | np.ndarray,
     labels: Sequence[Label],
     n_features: int,
     provenance: str = "",
 ) -> Dataset:
+    """The dataset of these rows, given as feature vectors or as a 0/1 matrix."""
     if len(vectors) != len(labels):
         raise ValueError("vectors and labels differ in length")
+    if isinstance(vectors, np.ndarray):
+        if vectors.shape[1:] != (n_features,):
+            raise ValueError(f"a {vectors.shape} matrix does not have {n_features} features")
+        x = vectors
+    else:
+        x = feature_matrix(vectors, n_features)
     y = np.array([label is Label.ON_HOLD for label in labels], dtype=np.uint8)
-    return _canonical(feature_matrix(vectors, n_features), y, provenance)
+    return _canonical(x, y, provenance)
 
 
 def featurize(
@@ -188,8 +196,7 @@ def featurize(
     if len(vocab) == 0:
         source = "comments" if bow else "OnHold comments"
         raise TrainingError(f"no vocabulary term survived extraction from the {source}")
-    vectors = [ngrams.vectorize(tok, vocab) for tok in tokens]
-    return vocab, make_dataset(vectors, labels, len(vocab))
+    return vocab, make_dataset(ngrams.term_matrix(tokens, vocab), labels, len(vocab))
 
 
 def vocabulary_digest(vocab: NGramVocabulary) -> str:
@@ -542,7 +549,9 @@ class _LinearSVM:
         lam = float(hp["lam"])
         epochs = int(hp["epochs"])
         n_rows = x.shape[0]
-        xa = np.hstack([x.astype(np.float64), np.ones((n_rows, 1))])
+        xa = np.empty((n_rows, x.shape[1] + 1))
+        xa[:, :-1] = x
+        xa[:, -1] = 1.0
         yv = np.where(y == 1, 1.0, -1.0)
         w = np.zeros(xa.shape[1])
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -707,21 +716,29 @@ def train(
 SCORE_CHUNK_ROWS = 1024
 
 
+def score_chunks(n_rows: int) -> list[tuple[int, int]]:
+    """The (start, end) row bounds of the chunks ``predict_proba_batch`` scores.
+
+    Each chunk holds SCORE_CHUNK_ROWS rows.  numpy multiplies a one-row
+    matrix by a vector with a dot product, whose sum can differ in the
+    last bit from the same row's in a matrix-vector product, so a lone
+    last row joins the chunk before it.  No rows are one empty chunk.
+    """
+    ends = [*range(SCORE_CHUNK_ROWS, n_rows - 1, SCORE_CHUNK_ROWS), n_rows]
+    return list(zip([0, *ends], ends))
+
+
 def predict_proba_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     """Scores in [0, 1] of the rows of a 0/1 matrix with the model's feature count.
 
     For the forests a score is the fraction of trees voting OnHold.
-    The rows are scored SCORE_CHUNK_ROWS at a time.
+    The rows are scored a ``score_chunks`` chunk at a time, so a caller
+    that passes one chunk at a time gets the same scores.
     """
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ValueError(f"a {model.n_features}-feature model cannot score a {x.shape} matrix")
-    # numpy multiplies a one-row matrix by a vector with a dot product,
-    # whose sum can differ in the last bit from the same row's in a
-    # matrix-vector product, so a lone last row joins the chunk before
-    # it.  An empty matrix is one empty chunk.
-    ends = [*range(SCORE_CHUNK_ROWS, len(x) - 1, SCORE_CHUNK_ROWS), len(x)]
     return np.concatenate(
-        [model._impl.predict_proba(x[start:end]) for start, end in zip([0, *ends], ends)]
+        [model._impl.predict_proba(x[start:end]) for start, end in score_chunks(len(x))]
     )
 
 

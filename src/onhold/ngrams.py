@@ -15,6 +15,12 @@ training comments containing g contiguously:
 The bisection with the largest df product is the most conservative
 baseline, so a term only keeps positive weight when it beats every way
 of explaining it from two parts.
+
+``term_matrix`` finds the terms of many comments at once.  The
+vocabulary holds its token trie as sorted integer edge keys, the goto
+function of Aho & Corasick (1975) as arrays, and every word of every
+comment starts a walk along it; the walks advance together, one
+``searchsorted`` per step.  ``vectorize`` is its one-comment case.
 """
 
 from __future__ import annotations
@@ -23,11 +29,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, read_utf8
 
 TokenTuple = tuple[str, ...]
 
@@ -101,27 +108,64 @@ class NGramTerm:
         return " ".join(self.tokens)
 
 
+class _Trie(NamedTuple):
+    """A token trie of the terms, as arrays.
+
+    Each term token has an id below ``width``.  Node 0 is the root, and
+    the edge from node ``n`` on token ``t`` is the key ``n * width + t``;
+    ``keys`` holds them sorted and ``children`` the node each leads to.
+    ``term_at[n]`` is the index of the term ending at node ``n``, or -1.
+    A node exists for every prefix of a term, so an n-gram with no node
+    cannot be extended into a term.
+    """
+
+    token_ids: dict[str, int]
+    width: int
+    keys: np.ndarray
+    children: np.ndarray
+    term_at: np.ndarray
+    depth: int
+
+
+def _build_trie(terms: Sequence[NGramTerm]) -> _Trie:
+    token_ids: dict[str, int] = {}
+    for term in terms:
+        for token in term.tokens:
+            token_ids.setdefault(token, len(token_ids))
+    width = max(len(token_ids), 1)
+    edges: dict[int, int] = {}
+    term_at = [-1]
+    for i, term in enumerate(terms):
+        node = 0
+        for token in term.tokens:
+            key = node * width + token_ids[token]
+            node = edges.get(key, -1)
+            if node < 0:
+                node = edges[key] = len(term_at)
+                term_at.append(-1)
+        if term_at[node] >= 0:
+            raise ValueError("duplicate terms in vocabulary")
+        term_at[node] = i
+    keys = np.array(sorted(edges), dtype=np.int64)
+    return _Trie(
+        token_ids,
+        width,
+        keys,
+        np.array([edges[key] for key in keys.tolist()], dtype=np.int64),
+        np.array(term_at, dtype=np.int64),
+        max((len(term.tokens) for term in terms), default=0),
+    )
+
+
 @dataclass(frozen=True)
 class NGramVocabulary:
     """Ordered, unique weighted terms extracted from one training fold."""
 
     terms: tuple[NGramTerm, ...]
-    # A token trie of the terms: each node maps a token to its child,
-    # and None to the index of the term that ends there.  A node exists
-    # for every prefix of a term, so an n-gram with no node cannot be
-    # extended into a term.
-    _trie: dict = field(init=False, repr=False, compare=False)
+    _trie: _Trie = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        trie: dict = {}
-        for i, term in enumerate(self.terms):
-            node = trie
-            for token in term.tokens:
-                node = node.setdefault(token, {})
-            if None in node:
-                raise ValueError("duplicate terms in vocabulary")
-            node[None] = i
-        object.__setattr__(self, "_trie", trie)
+        object.__setattr__(self, "_trie", _build_trie(self.terms))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -178,33 +222,48 @@ def build_bow_vocabulary(all_comments: Sequence[Sequence[str]]) -> NGramVocabula
 
 
 def vectorize(comment: Sequence[str], vocab: NGramVocabulary) -> FeatureVector:
-    """Binary occurrence vector: index i set iff term i occurs contiguously.
-
-    From each token, the vocabulary's trie is walked one token at a
-    time, only while the n-gram so far is still a prefix of some term.
-    """
-    if len(vocab) == 0:
-        raise ValueError("empty vocabulary")
-    tokens = tuple(comment)
-    found = set()
-    for start in range(len(tokens)):
-        node = vocab._trie
-        for end in range(start, len(tokens)):
-            node = node.get(tokens[end])
-            if node is None:
-                break
-            if None in node:
-                found.add(node[None])
-    return FeatureVector(tuple(sorted(found)))
+    """Binary occurrence vector: index i set iff term i occurs contiguously."""
+    return FeatureVector(tuple(np.flatnonzero(term_matrix([comment], vocab)[0]).tolist()))
 
 
 def term_matrix(comments: Sequence[Sequence[str]], vocab: NGramVocabulary) -> np.ndarray:
-    """0/1 matrix with one row per comment: cell (i, j) is 1 iff term j occurs in comment i."""
+    """0/1 matrix with one row per comment: cell (i, j) is 1 iff term j occurs in comment i.
+
+    The comments' tokens become one array of term-token ids, with -1 for
+    a token no term holds and after each comment.  Every start position
+    then walks the vocabulary's trie at once, one token per step: each
+    step looks all the walks' next edges up with one ``searchsorted``
+    and drops the walks that find none, so no walk crosses into the
+    next comment.
+    """
     if len(vocab) == 0:
         raise ValueError("empty vocabulary")
+    trie = vocab._trie
+    lengths = np.fromiter(map(len, comments), dtype=np.intp, count=len(comments))
+    flat = list(chain.from_iterable(comments))
+    ids = np.fromiter(
+        map(trie.token_ids.get, flat, repeat(-1)), dtype=np.int64, count=len(flat)
+    )
+    ids = np.insert(ids, np.cumsum(lengths), -1)
+    pos = np.flatnonzero(ids >= 0)
+    row = np.repeat(np.arange(len(comments)), lengths + 1)[pos]
+    node = np.zeros(len(pos), dtype=np.int64)
+    hit_rows, hit_terms = [], []
+    for _ in range(trie.depth):
+        token = ids[pos]
+        key = node * trie.width + token
+        slot = np.minimum(np.searchsorted(trie.keys, key), len(trie.keys) - 1)
+        alive = (token >= 0) & (trie.keys[slot] == key)
+        pos, row, node = pos[alive] + 1, row[alive], trie.children[slot[alive]]
+        term = trie.term_at[node]
+        ends = term >= 0
+        hit_rows.append(row[ends])
+        hit_terms.append(term[ends])
+        if not len(pos):
+            break
     x = np.zeros((len(comments), len(vocab)), dtype=np.uint8)
-    for i, comment in enumerate(comments):
-        x[i, list(vectorize(comment, vocab).indices)] = 1
+    if hit_rows:
+        x[np.concatenate(hit_rows), np.concatenate(hit_terms)] = 1
     return x
 
 
@@ -238,4 +297,4 @@ def save_vocabulary(vocab: NGramVocabulary, path: str | Path) -> None:
 
 def load_vocabulary(path: str | Path) -> NGramVocabulary:
     """Read a vocabulary TSV; parse errors name the path."""
-    return parse_vocabulary(Path(path).read_text(encoding="utf-8"), str(path))
+    return parse_vocabulary(read_utf8(path), str(path))

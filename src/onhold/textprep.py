@@ -5,6 +5,11 @@ abstract issue ids/URLs, lowercase, strip special characters, split on
 whitespace, lemmatize each token.  Stop words are deliberately kept --
 words like "when" and "until" carry the waiting-condition signal this
 package exists to detect.
+
+``preprocess_many`` runs the pipeline over a chunk of texts at once,
+one abstraction pass and one tokenizing pass per chunk, with each
+distinct token of the chunk lemmatized once; ``preprocess`` is its
+one-text case.
 """
 
 from __future__ import annotations
@@ -15,12 +20,14 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import DataFormatError
+from .errors import DataFormatError, read_utf8
 from .issues import Patterns, abstract_terms
+from .learn import score_chunks
 
 TokenSequence = list[str]
 
 _SPECIAL_CHARS = re.compile(r"[^A-Za-z0-9]+")
+_TOKEN_OR_BREAK = re.compile(r"[A-Za-z0-9]+|\n")
 _LOWER_ALPHA = re.compile(r"^[a-z]+$")
 
 _VOWELS = frozenset("aeiou")
@@ -93,7 +100,7 @@ def load_lemma_table(path: str | Path | None = None) -> LemmaTable:
     """Load a token->lemma table; ``None`` loads the bundled one."""
     if path is None:
         return LemmaTable(_default_lemma_table())
-    return LemmaTable(_parse_lemma_table(Path(path).read_text("utf-8"), str(path)))
+    return LemmaTable(_parse_lemma_table(read_utf8(path), str(path)))
 
 
 def _is_vowel(word: str, i: int) -> bool:
@@ -197,13 +204,9 @@ def preprocess(
     """Full pipeline: abstract, lowercase, clean, tokenize, lemmatize.
 
     A ``LemmaTable`` lemmatizes each distinct token once; any other
-    table lemmatizes every token.
+    table lemmatizes every distinct token of the text.
     """
-    abstracted = abstract_terms(comment_text, patterns)
-    tokens = clean(abstracted.lower()).split()
-    if isinstance(lemma_table, LemmaTable):
-        return [lemma_table.lemma(tok) for tok in tokens]
-    return [lemmatize(tok, lemma_table) for tok in tokens]
+    return preprocess_many([comment_text], patterns, lemma_table)[0]
 
 
 def preprocess_many(
@@ -211,5 +214,36 @@ def preprocess_many(
     patterns: Patterns,
     lemma_table: Mapping[str, str] | None = None,
 ) -> list[TokenSequence]:
-    """``preprocess`` of each text."""
-    return [preprocess(text, patterns, lemma_table) for text in texts]
+    """``preprocess`` of each text, a chunk of texts at a time.
+
+    A chunk is abstracted and lowercased as one string, its texts joined
+    by line breaks, and tokenized by one ``findall`` that also yields each
+    line break.  Text i then owns the tokens of the next
+    ``texts[i].count("\\n") + 1`` lines.  This equals one text at a time
+    because no abstraction pattern matches a line break, a line start
+    looks like a string start to ``(?<![A-Za-z])`` and ``\\b``, and
+    lowercasing is per character (its one context rule, the Greek final
+    sigma, reads a line break as a text boundary).
+    """
+    if isinstance(lemma_table, LemmaTable):
+        lemma = lemma_table.lemma
+    else:
+        def lemma(token: str) -> str:
+            return lemmatize(token, lemma_table)
+    out: list[TokenSequence] = []
+    for start, end in score_chunks(len(texts)):
+        chunk = texts[start:end]
+        flat = _TOKEN_OR_BREAK.findall(abstract_terms("\n".join(chunk), patterns).lower())
+        flat.append("\n")  # every line, the last too, ends at a line break
+        lemmas = {token: lemma(token) for token in set(flat) if token != "\n"}
+        lemmas["\n"] = "\n"
+        lemmatized = list(map(lemmas.__getitem__, flat))
+        pos = 0
+        for text in chunk:
+            row: TokenSequence = []
+            for _ in range(text.count("\n") + 1):
+                line_end = flat.index("\n", pos)
+                row += lemmatized[pos:line_end]
+                pos = line_end + 1
+            out.append(row)
+    return out

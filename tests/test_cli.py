@@ -8,7 +8,9 @@ recorded tracker fixtures, and report renders the check output.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -17,13 +19,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import onhold
 from onhold import datasetio, evalstats, learn, ngrams, tracker
-from onhold.cli import cli_main, load_project_config
-from onhold.errors import ConfigError
+from onhold.cli import build_parser, cli_main, load_project_config
+from onhold.errors import ConfigError, OnholdError
 from onhold.issues import TrackerKind
 from onhold.learn import Label
 
@@ -381,6 +383,49 @@ class TestPipeline:
         )
         assert code == 1
         assert "vocabulary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["input", "vocab", "lemma-table", "dataset"])
+    def test_a_file_that_is_not_utf8_is_named(self, dataset_path, tmp_path, capsys, target):
+        model, vocab = self.train(dataset_path, tmp_path)
+        lemma_table = tmp_path / "lemmas.tsv"
+        lemma_table.write_text("fixed\tfix\n", encoding="utf-8")
+        paths = {"input": dataset_path, "vocab": vocab, "lemma-table": lemma_table,
+                 "dataset": dataset_path}
+        paths[target].write_bytes(b"comment_text\n\xff\n")
+        if target == "dataset":
+            argv = ["train", "--dataset", str(dataset_path), "--model", str(model),
+                    "--vocab", str(vocab)]
+        else:
+            argv = ["classify", "--model", str(model), "--out", str(tmp_path / "p.tsv"),
+                    *(arg for name in ("input", "vocab", "lemma-table")
+                      for arg in (f"--{name}", str(paths[name])))]
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {paths[target]}: not UTF-8: ")
+
+    @pytest.mark.parametrize("terms", [5, 32])
+    def test_classify_rejects_a_vocabulary_of_another_size_without_a_digest(
+        self, dataset_path, tmp_path, capsys, terms
+    ):
+        # Without a digest to compare, a smaller vocabulary used to score
+        # every row on the first terms alone and exit 0.
+        model, vocab = self.train(dataset_path, tmp_path)
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        payload["vocabulary_hash"] = None
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        lines = vocab.read_text(encoding="utf-8").splitlines()
+        lines = (lines + [f"extra{i}\t1\t1.0" for i in range(terms)])[:terms]
+        vocab.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = cli_main(
+            ["classify", "--model", str(model), "--vocab", str(vocab),
+             "--input", str(dataset_path), "--out", str(tmp_path / "p.tsv")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {vocab} has {terms} terms but the model has "
+            f"{payload['n_features']} features\n"
+        )
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -1389,3 +1434,81 @@ class TestClassifyGolden:
                          "--input", str(table), "--out", str(out)]) == 0
         assert len(read_table(out)[1]) == 2049
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[algorithm]
+
+
+# Characters and words that matter to the three file formats.
+FUZZ_TEXT = st.text(alphabet="\t\n\r\\ #.-0123456789aeEfinx\u00e9\u2028İ", max_size=6) | st.sampled_from(
+    ["comment_text", "issue_key", "score", "predicted_label", "HADOOP-1", "bug 3", "\\n"])
+
+
+def fuzzed(original: str):
+    """The file unchanged, edited at up to three places, cut with a stray byte, or random bytes."""
+    edit = st.tuples(st.integers(0, len(original)), st.integers(0, 8), FUZZ_TEXT)
+
+    def apply(edits):
+        text = original
+        for at, cut, insert in edits:
+            text = text[:at] + insert + text[at + cut:]
+        return text.encode("utf-8")
+
+    return st.one_of(
+        st.just(original.encode("utf-8")),
+        st.lists(edit, min_size=1, max_size=3).map(apply),
+        st.integers(0, len(original)).map(
+            lambda at: original.encode("utf-8")[:at] + b"\xff" + original.encode("utf-8")[at:]),
+        st.binary(max_size=64),
+    )
+
+
+class TestClassifyFuzz:
+    """Fuzzed table, vocabulary and lemma-table files end in an OnholdError or in a table."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("classify-fuzz")
+        dataset = root / "dataset.tsv"
+        datasetio.save_dataset(
+            [datasetio.DatasetRow(text, "A.java", 1, f"HADOOP-{101 + i}",
+                                  Label.ON_HOLD if i < len(ON_HOLD_TEXTS) else
+                                  Label.CROSS_REFERENCE)
+             for i, text in enumerate(ON_HOLD_TEXTS + CROSS_TEXTS)],
+            dataset,
+        )
+        model, vocab = root / "model.json", root / "vocab.tsv"
+        assert cli_main(["train", "--dataset", str(dataset), "--algorithm", "NaiveBayes",
+                         "--model", str(model), "--vocab", str(vocab)]) == 0
+        # Without the digest, a fuzzed vocabulary of the model's size is featurized.
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        payload["vocabulary_hash"] = None
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        table = datasetio.format_table(
+            ("comment_text", "issue_key", "score"),
+            [["remove after HADOOP-7 is\nfixed", "HADOOP-7", "0.5"],
+             ["see bug 12 for background", "12", ""]],
+        )
+        return root, model, vocab.read_text(encoding="utf-8"), table, "fixed\tfix\nwaits\twait\n"
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_classify_ends_in_an_onhold_error_or_a_table(self, files, data):
+        root, model, vocab_text, table_text, lemma_text = files
+        paths = {}
+        for name, original in (("vocab", vocab_text), ("input", table_text),
+                               ("lemma-table", lemma_text)):
+            paths[name] = root / f"fuzzed-{name}"
+            paths[name].write_bytes(data.draw(fuzzed(original), label=name))
+        argv = ["classify", "--model", str(model), "--out", str(root / "out.tsv"),
+                *(arg for name, path in paths.items() for arg in (f"--{name}", str(path)))]
+        args = build_parser().parse_args(argv)
+        try:
+            args.handler(args)
+            failed = False
+        except OnholdError as exc:
+            failed = True
+            assert str(exc)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli_main(argv)
+        assert code in (1, 2) if failed else code == 0
+        assert "Traceback" not in stderr.getvalue()
