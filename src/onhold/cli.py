@@ -22,8 +22,6 @@ from datetime import datetime
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import datasetio, evalstats, learn, miner, ngrams, report, textprep, tracker
 from .errors import (
     ConfigError,
@@ -354,26 +352,18 @@ def _cmd_classify(args: argparse.Namespace) -> None:
         if name in positions
     }
     kept = [i for i in range(len(header)) if i not in drop]
-    # Featurized and scored a chunk at a time, so no whole-table matrix
-    # is built, in the chunks predict_proba_batch would cut.
-    texts = [fields[text_at] for _, fields in numbered]
-    scores = np.concatenate([
-        learn.predict_proba_batch(
-            model,
-            ngrams.term_matrix(
-                textprep.preprocess_many(texts[start:end], patterns, lemma_table), vocab
-            ),
-        )
-        for start, end in learn.score_chunks(len(texts))
-    ])
     out_rows: list[list[str]] = []
     n_on_hold = 0
-    for (_, fields), score in zip(numbered, scores):
-        label = model.label(score)
-        n_on_hold += label is Label.ON_HOLD
-        out_rows.append(
-            [fields[i] for i in kept] + [label.value, repr(float(score))]
-        )
+    # One score chunk at a time, so no whole-table feature matrix is built.
+    for start, end in learn.score_chunks(len(numbered)):
+        chunk = numbered[start:end]
+        tokens = textprep.preprocess_many([fields[text_at] for _, fields in chunk], patterns,
+                                          lemma_table)
+        scores = learn.predict_proba_batch(model, ngrams.term_matrix(tokens, vocab))
+        for (_, fields), score in zip(chunk, scores):
+            label = model.label(score)
+            n_on_hold += label is Label.ON_HOLD
+            out_rows.append([fields[i] for i in kept] + [label.value, repr(float(score))])
     out_header = tuple(header[i] for i in kept) + ("predicted_label", "score")
     _emit(datasetio.format_table(out_header, out_rows), args.out)
     _info(f"{n_on_hold} of {len(numbered)} comments classified OnHold")

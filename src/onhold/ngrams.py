@@ -124,7 +124,6 @@ class _Trie(NamedTuple):
     keys: np.ndarray
     children: np.ndarray
     term_at: np.ndarray
-    depth: int
 
 
 def _build_trie(terms: Sequence[NGramTerm]) -> _Trie:
@@ -132,7 +131,7 @@ def _build_trie(terms: Sequence[NGramTerm]) -> _Trie:
     for term in terms:
         for token in term.tokens:
             token_ids.setdefault(token, len(token_ids))
-    width = max(len(token_ids), 1)
+    width = len(token_ids)
     edges: dict[int, int] = {}
     term_at = [-1]
     for i, term in enumerate(terms):
@@ -153,7 +152,6 @@ def _build_trie(terms: Sequence[NGramTerm]) -> _Trie:
         keys,
         np.array([edges[key] for key in keys.tolist()], dtype=np.int64),
         np.array(term_at, dtype=np.int64),
-        max((len(term.tokens) for term in terms), default=0),
     )
 
 
@@ -249,18 +247,15 @@ def term_matrix(comments: Sequence[Sequence[str]], vocab: NGramVocabulary) -> np
     row = np.repeat(np.arange(len(comments)), lengths + 1)[pos]
     node = np.zeros(len(pos), dtype=np.int64)
     hit_rows, hit_terms = [], []
-    for _ in range(trie.depth):
+    while len(pos):  # at most one step more than the longest term has tokens
         token = ids[pos]
         key = node * trie.width + token
         slot = np.minimum(np.searchsorted(trie.keys, key), len(trie.keys) - 1)
         alive = (token >= 0) & (trie.keys[slot] == key)
         pos, row, node = pos[alive] + 1, row[alive], trie.children[slot[alive]]
         term = trie.term_at[node]
-        ends = term >= 0
-        hit_rows.append(row[ends])
-        hit_terms.append(term[ends])
-        if not len(pos):
-            break
+        hit_rows.append(row[term >= 0])
+        hit_terms.append(term[term >= 0])
     x = np.zeros((len(comments), len(vocab)), dtype=np.uint8)
     if hit_rows:
         x[np.concatenate(hit_rows), np.concatenate(hit_terms)] = 1
