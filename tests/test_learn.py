@@ -146,6 +146,15 @@ class TestDataset:
         assert ds.x.tolist() == x
         assert ds.y.tolist() == y
         assert ds.rows == tuple(pairs)
+        # The same rows given as a 0/1 matrix make the same dataset.
+        matrix = feature_matrix([v for v, _ in pairs], N_FEATURES)
+        from_matrix = make_dataset(matrix, [label for _, label in pairs], N_FEATURES)
+        assert from_matrix.x.tolist() == x and from_matrix.y.tolist() == y
+        assert from_matrix.order.tolist() == ds.order.tolist()
+
+    def test_a_matrix_of_another_width_is_rejected(self):
+        with pytest.raises(ValueError, match="features"):
+            make_dataset(np.zeros((1, 2), dtype=np.uint8), [ON], n_features=3)
 
     @given(labeled_rows, st.data())
     def test_a_positional_slice_is_the_dataset_of_its_rows(self, pairs, data):
