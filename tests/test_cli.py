@@ -1512,3 +1512,142 @@ class TestClassifyFuzz:
             code = cli_main(argv)
         assert code in (1, 2) if failed else code == 0
         assert "Traceback" not in stderr.getvalue()
+
+
+# Values of the wrong type or out of range for any field of a model file.
+MODEL_JUNK = st.sampled_from([
+    None, True, False, "", "x", "nan", [], {}, [[0]], [None], {"trees": []},
+    float("nan"), float("inf"), -float("inf"), -1, 0, 1, 0.5, 2**31, 2**53 + 1, 2**63,
+    -(2**63), 10**30, 10**400,
+])
+
+
+def _junk_somewhere(data, node):
+    """The JSON tree with one value, chosen by a random walk from the root, replaced."""
+    if isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 4)):
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else
+                                        range(len(node))))
+        if data.draw(st.integers(0, 9)) == 0:
+            del node[key]
+        else:
+            node[key] = _junk_somewhere(data, node[key])
+        return node
+    return data.draw(MODEL_JUNK)
+
+
+def _looping_child(data, payload):
+    """A forest payload with one split node's child pointing at or above the node."""
+    tree = data.draw(st.sampled_from(payload["state"]["trees"]))
+    splits = [node for node, f in enumerate(tree["feature"]) if f != -1]
+    if splits:
+        node = data.draw(st.sampled_from(splits))
+        tree[data.draw(st.sampled_from(["left", "right"]))][node] = data.draw(
+            st.integers(0, node))
+    return payload
+
+
+class TestClassifyModelFuzz:
+    """A fuzzed model file ends in a table or in an OnholdError with exit 1."""
+
+    @pytest.fixture(scope="class")
+    def models(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("model-fuzz")
+        dataset = root / "dataset.tsv"
+        datasetio.save_dataset(
+            [datasetio.DatasetRow(text, "A.java", 1, f"HADOOP-{101 + i}",
+                                  Label.ON_HOLD if i < len(ON_HOLD_TEXTS) else
+                                  Label.CROSS_REFERENCE)
+             for i, text in enumerate(ON_HOLD_TEXTS + CROSS_TEXTS)],
+            dataset,
+        )
+        texts = {}
+        for algorithm in learn.ALGORITHMS:
+            model, vocab = root / f"{algorithm}.json", root / "vocab.tsv"
+            assert cli_main(["train", "--dataset", str(dataset), "--algorithm", algorithm,
+                             "--model", str(model), "--vocab", str(vocab)]) == 0
+            texts[algorithm] = model.read_text(encoding="utf-8")
+        return root, texts, vocab, dataset
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_classify_ends_in_an_onhold_error_or_a_table(self, models, data):
+        root, texts, vocab, table = models
+        algorithm = data.draw(st.sampled_from(learn.ALGORITHMS), label="algorithm")
+        original = texts[algorithm].encode("utf-8")
+        how = data.draw(st.sampled_from(["flip", "delete", "junk", "loop", "size"]),
+                        label="how")
+        if how == "flip":
+            at = data.draw(st.integers(0, len(original) - 1))
+            bits = data.draw(st.integers(1, 255))
+            fuzzed_bytes = original[:at] + bytes([original[at] ^ bits]) + original[at + 1:]
+        elif how == "delete":
+            at = data.draw(st.integers(0, len(original)))
+            fuzzed_bytes = original[:at] + original[at + data.draw(st.integers(1, 16)):]
+        else:
+            payload = json.loads(original)
+            if how == "loop" and algorithm in ("ExtraTrees", "RandomForest"):
+                payload = _looping_child(data, payload)
+            elif how == "size":
+                # KNN's state repeats the feature count; both copies agree.
+                payload["n_features"] = data.draw(MODEL_JUNK)
+                if "n_features" in payload["state"]:
+                    payload["state"]["n_features"] = payload["n_features"]
+            else:
+                payload = _junk_somewhere(data, payload)
+            fuzzed_bytes = json.dumps(payload).encode("utf-8")
+        model = root / "fuzzed-model.json"
+        model.write_bytes(fuzzed_bytes)
+        argv = ["classify", "--model", str(model), "--vocab", str(vocab),
+                "--input", str(table), "--out", str(root / "out.tsv")]
+        args = build_parser().parse_args(argv)
+        try:
+            args.handler(args)
+            failed = False
+        except OnholdError as exc:
+            failed = True
+            assert str(exc)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli_main(argv)
+        assert code == (1 if failed else 0)
+        assert "Traceback" not in stderr.getvalue()
+
+
+class TestImportBoundary:
+    """Mining, detection, checking and reporting learn nothing, so numpy stays unloaded."""
+
+    def test_mine_detect_check_and_report_leave_numpy_unloaded(self, git_sandbox, tmp_path):
+        git_sandbox.write("src/Server.java", TestMine.JAVA.replace("HADOOP-1 ", "HADOOP-6223 "))
+        git_sandbox.commit("add server")
+        mined, refs, checked = (tmp_path / name for name in ("mined.tsv", "refs.tsv", "c.json"))
+        jira = ["--tracker", "jira", "--project", "HADOOP"]
+        commands = [
+            ["mine", "--repo", str(git_sandbox.root), *jira, "--out", str(mined)],
+            ["detect", "--input", str(mined), *jira, "--out", str(refs)],
+            ["check", "--input", str(mined), "--fixtures", str(FIXTURE_DIR), "--out", str(checked)],
+            ["report", "--input", str(checked)],
+        ]
+        code = (
+            "import json, sys\n"
+            "import onhold.cli\n"
+            "codes = [onhold.cli.cli_main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "numpy = sorted(name for name in sys.modules if name.split('.')[0] == 'numpy')\n"
+            "print(json.dumps([codes, numpy[:3]]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(onhold.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "HADOOP-6223" in proc.stdout
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
+
+    def test_help_offers_the_learning_names(self, capsys):
+        # Help text wraps at the terminal width, even inside a name list.
+        assert cli_main(["train", "--help"]) == 0
+        usage = "".join(capsys.readouterr().out.split())
+        choices = re.search(r"--algorithm\{([^}]*)\}", usage).group(1)
+        assert choices.split(",") == ["auto", *learn.ALGORITHMS]
+        assert cli_main(["evaluate", "--help"]) == 0
+        usage = "".join(capsys.readouterr().out.split())
+        assert "comma-separatedvariants:" + ",".join(evalstats.VARIANTS) in usage
