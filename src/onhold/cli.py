@@ -8,6 +8,12 @@ cross-validation, summarize ``lifecycle`` statistics, and render a
 ``report``.  Informational lines go to stderr; result tables go to
 stdout or ``--out``, so identical inputs and seeds yield byte-identical
 output files.
+
+The learning stack (``learn``, ``ngrams``, ``textprep``, ``evalstats``
+and with them numpy) is imported only by the commands that use it:
+``train``, ``classify``, ``evaluate`` and ``lifecycle``.  ``mine``,
+``detect``, ``check`` and ``report`` learn nothing and start without
+it; the parser's algorithm and variant names come from ``datasetio``.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from datetime import datetime
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import datasetio, evalstats, learn, miner, ngrams, report, textprep, tracker
+from . import datasetio, miner, report, tracker
+from .datasetio import Label
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -41,7 +48,6 @@ from .issues import (
     dump_pattern_sources,
     find_issue_references,
 )
-from .learn import Label
 from .timestamps import format_timestamp, parse_timestamp
 
 
@@ -294,6 +300,8 @@ def _cmd_detect(args: argparse.Namespace) -> None:
 def _prepare_vectors(
     args: argparse.Namespace, rows: Sequence[datasetio.DatasetRow]
 ) -> tuple[list[list[str]], list[Label]]:
+    from . import textprep
+
     patterns = _patterns(args, issue_keys=[row.issue_key for row in rows])
     lemma_table = textprep.load_lemma_table(args.lemma_table)
     tokens = textprep.preprocess_many([row.comment_text for row in rows], patterns, lemma_table)
@@ -302,6 +310,8 @@ def _prepare_vectors(
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
+    from . import learn, ngrams
+
     rows = datasetio.load_dataset(args.dataset)
     tokens, labels = _prepare_vectors(args, rows)
     _info(_dataset_echo(args.dataset, labels))
@@ -324,6 +334,8 @@ def _cmd_train(args: argparse.Namespace) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> None:
+    from . import learn, ngrams, textprep
+
     vocab = ngrams.load_vocabulary(args.vocab)
     model = learn.load_model(args.model)
     digest = learn.vocabulary_digest(vocab)
@@ -487,6 +499,8 @@ def _cmd_check(args: argparse.Namespace) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
+    from . import evalstats
+
     # Both tables have six columns, so one written after the other on one
     # stream would read as a single table.
     if args.compare and _destination(args.out) == _destination(args.comparisons_out):
@@ -520,6 +534,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 
 
 def _cmd_lifecycle(args: argparse.Namespace) -> None:
+    from . import evalstats
+
     rows = datasetio.load_dataset(args.dataset)
     _info(_dataset_echo(args.dataset, [row.label for row in rows]))
     span_records = [
@@ -658,7 +674,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--algorithm",
         default="auto",
-        choices=("auto",) + learn.ALGORITHMS,
+        choices=("auto",) + datasetio.ALGORITHMS,
         help="classifier (auto = inner cross-validated model selection)",
     )
     p.add_argument("--smote", action="store_true", help="oversample the minority class")
@@ -696,7 +712,7 @@ def build_parser() -> _Parser:
             _cmd_evaluate, seed=True)
     p.add_argument("--dataset", required=True, help="labeled dataset TSV")
     p.add_argument("--variants", default="ngram-auto",
-                   help="comma-separated variants: " + ",".join(evalstats.VARIANTS))
+                   help="comma-separated variants: " + ",".join(datasetio.VARIANTS))
     p.add_argument("--k", type=int, default=10, help="number of folds")
     p.add_argument("--compare", action="store_true",
                    help="also emit pairwise significance comparisons")

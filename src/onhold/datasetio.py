@@ -5,6 +5,12 @@ and backslashes inside fields are backslash-escaped so that one line is
 always one row.  Timestamps are stored as ISO-8601 UTC at second
 precision, so writing and re-reading a dataset preserves every row
 exactly as long as the input timestamps carry no sub-second part.
+
+The names the learning side is chosen by live here too, beside the
+``Label`` the label column parses to: the classifier families
+(``ALGORITHMS``) and the ``evaluate`` variants (``VARIANT_PLANS``).
+``learn`` and ``evalstats`` build their tables from them, and ``cli``
+offers them without importing numpy.
 """
 
 from __future__ import annotations
@@ -13,12 +19,41 @@ import io
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataFormatError, read_utf8
-from .learn import Label
 from .timestamps import format_timestamp, parse_timestamp
+
+
+class Label(Enum):
+    ON_HOLD = "OnHold"
+    CROSS_REFERENCE = "CrossReference"
+
+    @classmethod
+    def parse(cls, text: str) -> "Label":
+        cleaned = text.strip().lower().replace("-", "").replace("_", "")
+        if cleaned in ("onhold", "on hold", "1", "positive"):
+            return cls.ON_HOLD
+        if cleaned in ("crossreference", "cross reference", "0", "negative"):
+            return cls.CROSS_REFERENCE
+        raise ValueError(f"unknown label {text!r}")
+
+
+# The classifier families, in the order of learn's candidate grid.
+ALGORITHMS = ("ExtraTrees", "RandomForest", "NaiveBayes", "LinearSVM", "KNN")
+
+# evaluate variant -> (bag-of-words features, SMOTE first, algorithm or "auto")
+VARIANT_PLANS: dict[str, tuple[bool, bool, str]] = {
+    "ngram-auto": (False, False, "auto"),
+    "bow-auto": (True, False, "auto"),
+    "ngram-smote-auto": (False, True, "auto"),
+    "ngram-nb": (False, False, "NaiveBayes"),
+    "ngram-svm": (False, False, "LinearSVM"),
+    "ngram-knn": (False, False, "KNN"),
+}
+VARIANTS = tuple(VARIANT_PLANS)
 
 
 COLUMNS = (

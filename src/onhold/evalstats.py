@@ -23,9 +23,9 @@ from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from . import datasetio, learn
-from .learn import Dataset, Label
-from . import ngrams
+from . import datasetio, learn, ngrams
+from .datasetio import VARIANT_PLANS as _VARIANT_PLANS, VARIANTS, Label
+from .learn import Dataset
 from .errors import DataFormatError
 
 T = TypeVar("T")
@@ -391,18 +391,6 @@ def resolution_delay_stats(
 
 # --------------------------------------------------------------------------
 # variant evaluation
-
-# variant -> (bag-of-words features, SMOTE first, algorithm or "auto")
-_VARIANT_PLANS: dict[str, tuple[bool, bool, str]] = {
-    "ngram-auto": (False, False, "auto"),
-    "bow-auto": (True, False, "auto"),
-    "ngram-smote-auto": (False, True, "auto"),
-    "ngram-nb": (False, False, "NaiveBayes"),
-    "ngram-svm": (False, False, "LinearSVM"),
-    "ngram-knn": (False, False, "KNN"),
-}
-VARIANTS = tuple(_VARIANT_PLANS)
-
 
 _METRICS = ("precision", "recall", "f1", "auc")
 

@@ -6,7 +6,9 @@ subsampling per node), Bernoulli naive Bayes with add-one smoothing, a
 linear SVM trained by Pegasos-style stochastic subgradient descent, and
 k-nearest-neighbours under Jaccard distance on feature index sets.
 Each is one class, listed once in ``_LEARNERS``, that fits, scores,
-saves and checks itself.  ``predict_proba_batch`` is the one scorer.
+saves and checks itself.  The algorithm names (``ALGORITHMS``) and
+``Label`` are defined in ``datasetio``, which needs no numpy, so the
+CLI can offer them without importing this module.  ``predict_proba_batch`` is the one scorer.
 It scores in chunks of ``SCORE_CHUNK_ROWS`` rows, so a learner's
 temporaries (naive Bayes's float copies of the query, KNN's query x
 training-row distances) are bounded by the chunk, not by the table.
@@ -66,29 +68,15 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from . import ngrams
+from .datasetio import ALGORITHMS, Label
 from .errors import ConfigError, DataFormatError, TrainingError, WorkerError
 from .ngrams import FeatureVector, NGramVocabulary, format_vocabulary
-
-
-class Label(Enum):
-    ON_HOLD = "OnHold"
-    CROSS_REFERENCE = "CrossReference"
-
-    @classmethod
-    def parse(cls, text: str) -> "Label":
-        cleaned = text.strip().lower().replace("-", "").replace("_", "")
-        if cleaned in ("onhold", "on hold", "1", "positive"):
-            return cls.ON_HOLD
-        if cleaned in ("crossreference", "cross reference", "0", "negative"):
-            return cls.CROSS_REFERENCE
-        raise ValueError(f"unknown label {text!r}")
 
 
 def feature_matrix(vectors: Sequence[FeatureVector], n_features: int) -> np.ndarray:
@@ -640,14 +628,9 @@ class _KNN:
         return cls(x, np.array(labels, dtype=np.uint8), int(state["k"]))
 
 
-_LEARNERS: dict[str, Any] = {
-    "ExtraTrees": _ExtraTrees,
-    "RandomForest": _RandomForest,
-    "NaiveBayes": _NaiveBayes,
-    "LinearSVM": _LinearSVM,
-    "KNN": _KNN,
-}
-ALGORITHMS = tuple(_LEARNERS)
+_LEARNERS: dict[str, Any] = dict(
+    zip(ALGORITHMS, (_ExtraTrees, _RandomForest, _NaiveBayes, _LinearSVM, _KNN), strict=True)
+)
 
 # Candidate grid for select_model: one entry per algorithm/setting the
 # comparison tables report, searched by inner cross-validation.
