@@ -982,5 +982,7 @@ def load_model(path: str | Path) -> TrainedModel:
         )
     except KeyError as exc:
         raise DataFormatError(f"{path}: model file lacks {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    # A KNN state's dense rows take rows x n_features bytes, so a file
+    # claiming billions of features fails to allocate them.
+    except (TypeError, ValueError, OverflowError, MemoryError) as exc:
         raise DataFormatError(f"{path}: malformed model file: {exc}") from exc
