@@ -490,13 +490,14 @@ class _NaiveBayes:
         return cls(log_prior, log_p1, log_p0)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        # One float copy of the chunk serves both terms: the present
+        # features' sums first, then, turned into 1 - x in place, the
+        # absent ones'.  The products and their sum order are unchanged.
         xf = x.astype(np.float64)
+        ones = [xf @ self.log_p1[c] for c in (0, 1)]
+        np.subtract(1.0, xf, out=xf)
         joint = np.stack(
-            [
-                self.log_prior[c] + xf @ self.log_p1[c] + (1.0 - xf) @ self.log_p0[c]
-                for c in (0, 1)
-            ],
-            axis=1,
+            [self.log_prior[c] + ones[c] + xf @ self.log_p0[c] for c in (0, 1)], axis=1
         )
         peak = joint.max(axis=1, keepdims=True)
         expd = np.exp(joint - peak)
