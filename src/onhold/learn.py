@@ -45,7 +45,8 @@ one int.
 A node's sqrt-F feature subset is the one ``Generator.choice`` would
 draw (Breiman 2001), but each tree makes the bounded draws of
 Floyd's sampling algorithm (Bentley & Floyd 1987) for a block of
-nodes in one ``integers`` call and replays Floyd's rule over them, so
+nodes in one ``integers`` call, and Floyd's rule is replayed over them
+in numpy, for the first block of every tree of a forest at once, so
 the trees equal per-node ``choice`` trees.  When every sampled feature
 is constant at a node, the fallback scans only the features some row
 of the node has, since no other one can split it.
@@ -274,32 +275,55 @@ def _best_split(
 _FIRST_BLOCK = 32
 
 
-def _feature_subsets(
-    rng: np.random.Generator, n_features: int, n_sample: int
-) -> Iterator[list[int]]:
-    """``np.sort(rng.choice(n_features, n_sample, replace=False)).tolist()``, call after call.
+def _floyd_bounds(n_features: int, n_sample: int) -> np.ndarray:
+    """The bounds h of the ``rng.integers(0, h)`` draws one ``choice`` call makes.
 
     For these sizes ``choice`` runs Floyd's algorithm, one bounded draw
     in [0, j] for each j from n_features - n_sample to n_features - 1,
     then shuffles its picks with one draw in [0, i] for each i from
-    n_sample - 1 down to 1.  Each is the draw ``rng.integers(0, h)``
-    makes for h = j + 1 or i + 1, so one ``integers`` call over a block
-    of rows of these bounds makes the draws of many calls.  The sort
-    undoes the shuffle, so its draws are only consumed.  Draws past the
-    tree's last node are never used, so the caller must not use the
-    generator afterwards.
+    n_sample - 1 down to 1.
+    """
+    return np.array([*range(n_features - n_sample + 1, n_features + 1), *range(n_sample, 1, -1)])
+
+
+def _floyd_subsets(draws: np.ndarray, n_features: int, n_sample: int) -> np.ndarray:
+    """The sorted feature subset each row of draws (last axis) makes, in one pass.
+
+    Floyd's rule, column by column over every row at once: the draw in
+    [0, j] is taken unless an earlier column of its row took it, and
+    then j, which none did, is taken.  The sort undoes the shuffle, so
+    its draws are only consumed.
     """
     lo = n_features - n_sample
-    bounds = np.array([*range(lo + 1, n_features + 1), *range(n_sample, 1, -1)])
+    picks = draws[..., :n_sample].copy()
+    for c in range(1, n_sample):
+        taken = (picks[..., :c] == picks[..., c, None]).any(axis=-1)
+        picks[..., c] = np.where(taken, lo + c, picks[..., c])
+    picks.sort(axis=-1)
+    return picks
+
+
+def _feature_subsets(
+    rng: np.random.Generator, n_features: int, n_sample: int, first: np.ndarray | None = None
+) -> Iterator[list[int]]:
+    """``np.sort(rng.choice(n_features, n_sample, replace=False)).tolist()``, call after call.
+
+    One ``integers`` call over a block of rows of ``_floyd_bounds``
+    makes the draws of many ``choice`` calls.  ``first``, the first
+    block's subsets, is given when the caller has drawn them from rng
+    already.  Draws past the tree's last node are never used, so the
+    caller must not use the generator afterwards.
+    """
+    bounds = _floyd_bounds(n_features, n_sample)
     block = _FIRST_BLOCK
+    if first is None:
+        first = _floyd_subsets(rng.integers(0, bounds, size=(block, len(bounds))),
+                               n_features, n_sample)
+    yield from first.tolist()
     while True:
-        for row in rng.integers(0, bounds, size=(block, len(bounds)))[:, :n_sample].tolist():
-            chosen: set[int] = set()
-            for j, v in zip(range(lo, n_features), row):
-                # Floyd: a value already chosen is replaced by j, which is not.
-                chosen.add(j if v in chosen else v)
-            yield sorted(chosen)
         block = min(2 * block, 256)
+        draws = rng.integers(0, bounds, size=(block, len(bounds)))
+        yield from _floyd_subsets(draws, n_features, n_sample).tolist()
 
 
 def _live_features(mask: int, bit_features: Sequence[Sequence[int]]) -> list[int]:
@@ -316,26 +340,17 @@ def _grow_tree(
     cols: list[int],
     ypos: int,
     n_rows: int,
-    rng: np.random.Generator,
+    subsets: Iterator[list[int]],
     max_depth: int | None,
     bit_features: Sequence[Sequence[int]],
 ) -> _Tree:
     """Grow one tree over rows 0..n_rows-1 of the column bitsets cols.
 
+    Each split node takes the next of ``subsets``, in node order.
     ``bit_features[i]`` lists the features of the row behind bit i.
     """
-    n_features = len(cols)
-    n_sample = max(1, math.isqrt(n_features))
-    subsets = _feature_subsets(rng, n_features, n_sample)
     tree = _Tree([], [], [], [])
-
-    def new_node(frac: float) -> int:
-        tree.feature.append(_LEAF)
-        tree.left.append(_LEAF)
-        tree.right.append(_LEAF)
-        tree.value.append(frac)
-        return len(tree.feature) - 1
-
+    feature, left, right, value = tree.feature, tree.left, tree.right, tree.value
     # (row mask, depth, parent, is_right); parent -1 marks the root.
     stack: list[tuple[int, int, int, bool]] = [((1 << n_rows) - 1, 0, -1, False)]
     while stack:
@@ -343,12 +358,16 @@ def _grow_tree(
         n = mask.bit_count()
         mask_pos = mask & ypos
         npos = mask_pos.bit_count()
-        node = new_node(npos / n)
+        node = len(feature)
+        feature.append(_LEAF)
+        left.append(_LEAF)
+        right.append(_LEAF)
+        value.append(npos / n)
         if parent >= 0:
             if is_right:
-                tree.right[parent] = node
+                right[parent] = node
             else:
-                tree.left[parent] = node
+                left[parent] = node
         if npos == 0 or npos == n or (max_depth is not None and depth >= max_depth):
             continue
         split = _best_split(cols, mask, mask_pos, n, npos, next(subsets))
@@ -359,7 +378,7 @@ def _grow_tree(
             split = _best_split(cols, mask, mask_pos, n, npos, _live_features(mask, bit_features))
         if split is None:
             continue
-        tree.feature[node] = split
+        feature[node] = split
         stack.append((mask & cols[split], depth + 1, node, True))
         stack.append((mask & ~cols[split], depth + 1, node, False))
     return tree
@@ -407,21 +426,30 @@ class _ExtraTrees:
 
     @classmethod
     def fit(cls, x: np.ndarray, y: np.ndarray, hp: dict[str, Any], seed: int) -> "_ExtraTrees":
-        n_rows = x.shape[0]
-        streams = np.random.SeedSequence(seed).spawn(hp["n_trees"])
+        n_rows, n_features = x.shape
+        n_sample = max(1, math.isqrt(n_features))
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(hp["n_trees"])]
+        # Each tree's generator draws its bootstrap rows, then its
+        # subset blocks, so every tree's first block can be drawn now
+        # and Floyd's rule replayed over all of them in one pass.
+        draws = [rng.integers(0, n_rows, size=n_rows) if cls.bootstrap else None for rng in rngs]
+        bounds = _floyd_bounds(n_features, n_sample)
+        firsts = _floyd_subsets(
+            np.stack([rng.integers(0, bounds, size=(_FIRST_BLOCK, len(bounds))) for rng in rngs]),
+            n_features, n_sample,
+        )
         row_features = bit_features = [np.flatnonzero(row).tolist() for row in x]
         if not cls.bootstrap:
             # ExtraTrees grows every tree on all rows, so the columns are built once.
             cols, ypos = _column_bits(x), _column_bits(y[:, None])[0]
         trees = []
-        for stream in streams:
-            rng = np.random.default_rng(stream)
+        for rng, rows, first in zip(rngs, draws, firsts):
             if cls.bootstrap:
                 # Bit i stands for draw i, so a row drawn twice counts twice.
-                rows = rng.integers(0, n_rows, size=n_rows)
                 cols, ypos = _column_bits(x[rows]), _column_bits(y[rows, None])[0]
                 bit_features = [row_features[r] for r in rows.tolist()]
-            trees.append(_grow_tree(cols, ypos, n_rows, rng, hp["max_depth"], bit_features))
+            subsets = _feature_subsets(rng, n_features, n_sample, first)
+            trees.append(_grow_tree(cols, ypos, n_rows, subsets, hp["max_depth"], bit_features))
         return cls(trees)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
