@@ -24,7 +24,7 @@ from typing import Any, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from . import datasetio, learn, ngrams
-from .datasetio import VARIANT_PLANS as _VARIANT_PLANS, VARIANTS, Label
+from .datasetio import VARIANT_PLANS, VARIANTS, Label
 from .learn import Dataset
 from .errors import DataFormatError
 
@@ -441,7 +441,7 @@ def evaluate_variants(
         # variant that trains on it.
         prepared: dict[bool, tuple[Dataset, Dataset]] = {}
         for variant in variants:
-            bow, smote, algorithm = _VARIANT_PLANS[variant]
+            bow, smote, algorithm = VARIANT_PLANS[variant]
             if bow not in prepared:
                 vocab, train_ds = learn.featurize(
                     [comments[i] for i in train_idx], [labels[i] for i in train_idx], bow=bow
