@@ -1535,6 +1535,15 @@ def _junk_somewhere(data, node):
     return data.draw(MODEL_JUNK)
 
 
+def _number_paths(node, path=()):
+    """Paths to the numbers in a JSON tree."""
+    if isinstance(node, (dict, list)):
+        for key in (node if isinstance(node, dict) else range(len(node))):
+            yield from _number_paths(node[key], (*path, key))
+    elif type(node) in (int, float):
+        yield path
+
+
 def _looping_child(data, payload):
     """A forest payload with one split node's child pointing at or above the node."""
     tree = data.draw(st.sampled_from(payload["state"]["trees"]))
@@ -1547,7 +1556,7 @@ def _looping_child(data, payload):
 
 
 class TestClassifyModelFuzz:
-    """A fuzzed model file ends in a table or in an OnholdError with exit 1."""
+    """A fuzzed model file ends in a table of scores in [0, 1] or in an OnholdError with exit 1."""
 
     @pytest.fixture(scope="class")
     def models(self, tmp_path_factory):
@@ -1575,7 +1584,7 @@ class TestClassifyModelFuzz:
         root, texts, vocab, table = models
         algorithm = data.draw(st.sampled_from(learn.ALGORITHMS), label="algorithm")
         original = texts[algorithm].encode("utf-8")
-        how = data.draw(st.sampled_from(["flip", "delete", "junk", "loop", "size"]),
+        how = data.draw(st.sampled_from(["flip", "delete", "junk", "number", "loop", "size"]),
                         label="how")
         if how == "flip":
             at = data.draw(st.integers(0, len(original) - 1))
@@ -1588,6 +1597,12 @@ class TestClassifyModelFuzz:
             payload = json.loads(original)
             if how == "loop" and algorithm in ("ExtraTrees", "RandomForest"):
                 payload = _looping_child(data, payload)
+            elif how == "number":
+                *parents, last = data.draw(st.sampled_from(list(_number_paths(payload))))
+                node = payload
+                for key in parents:
+                    node = node[key]
+                node[last] = data.draw(MODEL_JUNK)
             elif how == "size":
                 # KNN's state repeats the feature count; both copies agree.
                 payload["n_features"] = data.draw(MODEL_JUNK)
@@ -1596,14 +1611,16 @@ class TestClassifyModelFuzz:
             else:
                 payload = _junk_somewhere(data, payload)
             fuzzed_bytes = json.dumps(payload).encode("utf-8")
-        model = root / "fuzzed-model.json"
+        model, out = root / "fuzzed-model.json", root / "out.tsv"
         model.write_bytes(fuzzed_bytes)
         argv = ["classify", "--model", str(model), "--vocab", str(vocab),
-                "--input", str(table), "--out", str(root / "out.tsv")]
+                "--input", str(table), "--out", str(out)]
         args = build_parser().parse_args(argv)
         try:
             args.handler(args)
             failed = False
+            # A NaN score would label its row CrossReference without a word.
+            assert all(0.0 <= float(row[-1]) <= 1.0 for row in read_table(out)[1])
         except OnholdError as exc:
             failed = True
             assert str(exc)
