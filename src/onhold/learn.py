@@ -385,10 +385,15 @@ def _grow_tree(
 
 
 def _tree_fits(tree: dict[str, Any], n_features: int) -> bool:
-    """Leaves have no children; a split's children come after it, so no path loops."""
+    """Leaves have no children; a split's children come after it, so no path loops.
+
+    Every node's value is an OnHold fraction in [0, 1].
+    """
     columns = [tree[key] for key in ("feature", "left", "right", "value")]
     size = len(columns[0])
     if size == 0 or any(len(column) != size for column in columns):
+        return False
+    if not all(type(v) in (int, float) and 0 <= v <= 1 for v in columns[3]):
         return False
     for node, (f, lo, hi) in enumerate(zip(*columns[:3])):
         leaf = f == lo == hi == _LEAF
@@ -542,7 +547,10 @@ class _NaiveBayes:
     def from_state(cls, state: dict[str, Any], n_features: int) -> "_NaiveBayes":
         shapes = {"log_prior": (2,), "log_p1": (2, n_features), "log_p0": (2, n_features)}
         arrays = [np.array(state[key], dtype=np.float64) for key in shapes]
-        if [a.shape for a in arrays] != list(shapes.values()):
+        # numpy reads a JSON null as NaN, which would score every row NaN.
+        if [a.shape for a in arrays] != list(shapes.values()) or not all(
+            np.isfinite(a).all() for a in arrays
+        ):
             raise ValueError(f"state does not fit a {n_features}-feature naive Bayes model")
         return cls(*arrays)
 
@@ -593,7 +601,7 @@ class _LinearSVM:
     @classmethod
     def from_state(cls, state: dict[str, Any], n_features: int) -> "_LinearSVM":
         weights = np.array(state["weights"], dtype=np.float64)
-        if weights.shape != (n_features + 1,):
+        if weights.shape != (n_features + 1,) or not np.isfinite(weights).all():
             raise ValueError(f"state does not fit a {n_features}-feature linear SVM")
         return cls(weights)
 
