@@ -6,11 +6,10 @@ always one row.  Timestamps are stored as ISO-8601 UTC at second
 precision, so writing and re-reading a dataset preserves every row
 exactly as long as the input timestamps carry no sub-second part.
 
-The names the learning side is chosen by live here too, beside the
-``Label`` the label column parses to: the classifier families
-(``ALGORITHMS``) and the ``evaluate`` variants (``VARIANT_PLANS``).
-``learn`` and ``evalstats`` build their tables from them, and ``cli``
-offers them without importing numpy.
+Next to ``Label``, which the label column parses to, this module
+names the classifier families (``ALGORITHMS``) and the ``evaluate``
+variants (``VARIANT_PLANS``).  ``learn`` and ``evalstats`` build their
+tables from these, and ``cli`` offers them without importing numpy.
 """
 
 from __future__ import annotations

@@ -8,10 +8,12 @@ k-nearest-neighbours under Jaccard distance on feature index sets.
 Each is one class, listed once in ``_LEARNERS``, that fits, scores,
 saves and checks itself.  The algorithm names (``ALGORITHMS``) and
 ``Label`` are defined in ``datasetio``, which needs no numpy, so the
-CLI can offer them without importing this module.  ``predict_proba_batch`` is the one scorer.
-It scores in chunks of ``SCORE_CHUNK_ROWS`` rows, so a learner's
-temporaries (naive Bayes's float copies of the query, KNN's query x
-training-row distances) are bounded by the chunk, not by the table.
+CLI can offer them without importing this module.
+
+``predict_proba_batch`` is the one scorer.  It scores in chunks of
+``SCORE_CHUNK_ROWS`` rows, so a learner's temporaries (naive Bayes's
+float copy of the query, KNN's query x training-row distances) are
+bounded by the chunk, not by the table.
 Every learner scores each row on its own, so chunking changes no
 score.  Naive Bayes and the SVM sum each row in a BLAS matrix-vector
 product; the tests check those sums bit for bit against one
@@ -433,7 +435,8 @@ class _ExtraTrees:
     def fit(cls, x: np.ndarray, y: np.ndarray, hp: dict[str, Any], seed: int) -> "_ExtraTrees":
         n_rows, n_features = x.shape
         n_sample = max(1, math.isqrt(n_features))
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(hp["n_trees"])]
+        streams = np.random.SeedSequence(seed).spawn(hp["n_trees"])
+        rngs = [np.random.default_rng(stream) for stream in streams]
         # Each tree's generator draws its bootstrap rows, then its
         # subset blocks, so every tree's first block can be drawn now
         # and Floyd's rule replayed over all of them in one pass.

@@ -1642,7 +1642,8 @@ class TestImportBoundary:
         commands = [
             ["mine", "--repo", str(git_sandbox.root), *jira, "--out", str(mined)],
             ["detect", "--input", str(mined), *jira, "--out", str(refs)],
-            ["check", "--input", str(mined), "--fixtures", str(FIXTURE_DIR), "--out", str(checked)],
+            ["check", "--input", str(mined), "--fixtures", str(FIXTURE_DIR),
+             "--out", str(checked)],
             ["report", "--input", str(checked)],
         ]
         code = (
