@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 import onhold
 from onhold import datasetio, evalstats, learn, ngrams, tracker
-from onhold.cli import build_parser, cli_main, load_project_config
-from onhold.errors import ConfigError, OnholdError
+from onhold.cli import ProjectConfig, build_parser, cli_main, load_project_config
+from onhold.errors import ConfigError, DataFormatError, OnholdError
 from onhold.issues import TrackerKind
 from onhold.learn import Label
 
@@ -289,6 +289,42 @@ class TestProjectConfig:
             else:
                 assert field == value
 
+    @pytest.fixture(scope="class")
+    def config_root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("config-fuzz")
+        (root / "plain").mkdir()
+        return root
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_fuzzed_file_loads_or_is_a_config_error(self, config_root, data):
+        root = config_root
+        original = json.dumps({
+            "repo_path": str(root / "plain"), "branch": "trunk", "tracker": "jira",
+            "project_key": "HADOOP", "base_url": "https://issues.example.org",
+            "cache_dir": "caché",
+        }).encode("utf-8")
+        fuzzed_bytes = bytearray(original)
+        if data.draw(st.booleans(), label="flip"):
+            for _ in range(data.draw(st.integers(1, 3))):
+                fuzzed_bytes[data.draw(st.integers(0, len(original) - 1))] ^= data.draw(
+                    st.integers(1, 255))
+        else:
+            at = data.draw(st.integers(0, len(original)))
+            del fuzzed_bytes[at:at + data.draw(st.integers(1, 16))]
+        path = root / "project.json"
+        path.write_bytes(bytes(fuzzed_bytes))
+        try:
+            assert isinstance(load_project_config(path), ProjectConfig)
+        except ConfigError as exc:
+            assert str(exc)
+        # The config's repository is a plain directory, or no directory at all.
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli_main(["mine", "--config", str(path), "--out", str(root / "mined.tsv")])
+        assert code == 1
+        assert "Traceback" not in stderr.getvalue()
+
 
 class TestDetect:
     def test_dump_patterns_lists_every_rule(self, capsys):
@@ -455,6 +491,33 @@ class TestPipeline:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("decision_threshold", "0.5"), ("n_features", "n_features"), ("seed", 7.9),
+         ("hyperparameters", "x"), ("version", True), ("vocabulary_hash", 5)],
+        ids=["threshold-string", "n-features-string", "seed-float", "hyperparameters-string",
+             "version-bool", "hash-int"],
+    )
+    def test_a_header_field_of_the_wrong_type_is_a_data_format_error(
+        self, dataset_path, tmp_path, capsys, field, value
+    ):
+        # int() and float() used to convert these, so each edit loaded and classified.
+        model, vocab = self.train(dataset_path, tmp_path)
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        payload[field] = str(payload["n_features"]) if value == "n_features" else value
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=re.escape(str(model))):
+            learn.load_model(model)
+        capsys.readouterr()
+        code = cli_main(
+            ["classify", "--model", str(model), "--vocab", str(vocab),
+             "--input", str(dataset_path), "--out", str(tmp_path / "p.tsv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -1659,6 +1722,18 @@ class TestImportBoundary:
         assert proc.returncode == 0, proc.stderr
         assert "HADOOP-6223" in proc.stdout
         assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
+
+    def test_textprep_leaves_numpy_unloaded(self):
+        code = (
+            "import sys\n"
+            "import onhold.textprep\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy')[:3])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(onhold.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_help_offers_the_learning_names(self, capsys):
         # Help text wraps at the terminal width, even inside a name list.

@@ -7,13 +7,18 @@ by hand against those sources before the first test run.
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from onhold.errors import ConfigError
 from onhold.issues import (
     ABSTRACT_ISSUE_ID,
     ABSTRACT_URL,
     PatternCollection,
+    PatternSet,
     TrackerKind,
     abstract_terms,
     build_patterns,
@@ -291,3 +296,49 @@ class TestAbstraction:
     def test_abstraction_is_idempotent(self, text, all_patterns):
         once = abstract_terms(text, all_patterns)
         assert abstract_terms(once, all_patterns) == once
+
+
+SETS = (
+    build_patterns(TrackerKind.BUGZILLA),
+    build_patterns(TrackerKind.BUGZILLA, "ant"),
+    build_patterns(TrackerKind.GITHUB),
+    build_patterns(TrackerKind.JIRA, "HADOOP"),
+    build_patterns(TrackerKind.JIRA, "ANT"),
+)
+# Issue ids and URLs of every tracker, generic URLs, placeholders and joints.
+FRAGMENTS = (
+    "\n", " ", "-", "#", ".", "/", "?", "İ", "\u212a", "bug 12", "Bug #3", "bz 9", "ant 3",
+    "ANT-3", "HADOOP-7", "hadoop-7.x", "issue #4", "issues-5",
+    "https://issues.apache.org/jira/browse/HADOOP-3", "http://issues.apache.org/jira/browse/ANT-8",
+    "https://github.com/a/b/issues/5", "http://bz.example.org/show_bug.cgi?id=6",
+    "https://example.com/a?b=1", "http://www.example.org", "https://x.io/", "www.example.org",
+    ABSTRACT_ISSUE_ID, ABSTRACT_URL, "see", "0",
+)
+
+
+def reference_abstract_terms(text: str, sets: tuple[PatternSet, ...]) -> str:
+    """Every set's issue rules in set order, then the generic URL rule once."""
+    for pset in sets:
+        for source, token in pset.abstraction_patterns[:-1]:
+            text = re.sub(source, token, text, flags=re.IGNORECASE)
+    source, token = sets[0].abstraction_patterns[-1]
+    return re.sub(source, token, text, flags=re.IGNORECASE)
+
+
+class TestAbstractionRule:
+    def test_every_set_ends_in_the_same_generic_url_rule(self):
+        assert {pset.abstraction_patterns[-1] for pset in SETS} == {
+            (SETS[0].abstraction_patterns[-1][0], ABSTRACT_URL)
+        }
+        for pset in SETS:
+            assert all(token == ABSTRACT_ISSUE_ID for _, token in pset.abstraction_patterns[:-1])
+
+    @given(
+        st.lists(st.sampled_from(SETS), min_size=1, max_size=3),
+        st.lists(st.sampled_from(FRAGMENTS) | st.text(max_size=3), max_size=10).map("".join),
+    )
+    def test_abstract_terms_equals_the_rule(self, sets, text):
+        expected = reference_abstract_terms(text, tuple(sets))
+        assert abstract_terms(text, PatternCollection(tuple(sets))) == expected
+        if len(sets) == 1:
+            assert abstract_terms(text, sets[0]) == expected
