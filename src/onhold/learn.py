@@ -975,6 +975,15 @@ def fit(dataset: Dataset, algorithm: str, smote: bool = False, seed: int = 0) ->
 # model persistence
 
 _MODEL_FORMAT = "onhold-model"
+# The JSON types of a model file's header fields, compared exactly (a bool is no int).
+_HEADER_TYPES = {
+    "version": (int,),
+    "n_features": (int,),
+    "seed": (int,),
+    "decision_threshold": (int, float),
+    "hyperparameters": (dict,),
+    "vocabulary_hash": (str, type(None)),
+}
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -1000,13 +1009,16 @@ def load_model(path: str | Path) -> TrainedModel:
         raise DataFormatError(f"{path}: not a JSON model file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
         raise ConfigError(f"{path}: not a model file")
+    for name, types in _HEADER_TYPES.items():
+        if name in payload and type(payload[name]) not in types:
+            raise DataFormatError(f"{path}: {name} has the wrong JSON type: {payload[name]!r}")
     if payload.get("version") != 1:
         raise DataFormatError(f"{path}: unsupported model version {payload.get('version')!r}")
     algorithm = payload.get("algorithm")
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"{path}: unknown algorithm {algorithm!r}")
     try:
-        n_features = int(payload["n_features"])
+        n_features = payload["n_features"]
         threshold = float(payload["decision_threshold"])
         # A NaN or out-of-range threshold would label every row alike.
         if not 0.0 <= threshold <= 1.0:
@@ -1016,7 +1028,7 @@ def load_model(path: str | Path) -> TrainedModel:
             hyperparameters=payload["hyperparameters"],
             n_features=n_features,
             decision_threshold=threshold,
-            seed=int(payload["seed"]),
+            seed=payload["seed"],
             vocabulary_hash=payload.get("vocabulary_hash"),
             _impl=_LEARNERS[algorithm].from_state(payload["state"], n_features),
         )
