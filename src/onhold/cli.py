@@ -139,14 +139,7 @@ def load_project_config(path: str | Path) -> ProjectConfig:
                 f"{path}: config key {key!r} must be a string, got {json.dumps(value)}"
             )
     kind = TrackerKind.parse(payload["tracker"]) if "tracker" in payload else None
-    return ProjectConfig(
-        repo_path=payload.get("repo_path", ""),
-        branch=payload.get("branch", "HEAD") or "HEAD",
-        tracker=kind,
-        project_key=payload.get("project_key", ""),
-        base_url=payload.get("base_url", ""),
-        cache_dir=payload.get("cache_dir", ""),
-    )
+    return ProjectConfig(**{**payload, "tracker": kind, "branch": payload.get("branch") or "HEAD"})
 
 
 # --------------------------------------------------------------------------
