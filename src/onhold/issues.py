@@ -2,8 +2,8 @@
 
 Each issue tracker gets its own set of regular expressions: one group that
 finds issue ids and issue URLs in comment text, and one group that rewrites
-them to the placeholder token ``abstractissueid`` (plus a generic rule
-rewriting any remaining hyperlink to ``abstracturl``).
+them to the placeholder token ``abstractissueid``.  One generic rule,
+compiled once, then rewrites any remaining hyperlink to ``abstracturl``.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ _GENERIC_URL = (
     r"https?:\/\/(www\.)?[-a-zA-Z0-9@:%._\+~#=]{2,256}\.[a-z]{2,6}\b"
     r"([-a-zA-Z0-9@:%_\+.~#?&//=]*)"
 )
+# Each set lists the generic rule last; abstract_terms runs it once, after every set.
+_GENERIC_ABSTRACTOR = re.compile(_GENERIC_URL, re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class PatternSet:
     detection_patterns: tuple[str, ...]
     abstraction_patterns: tuple[tuple[str, str], ...]
     _detectors: tuple[re.Pattern, ...] = field(repr=False)
-    _abstractors: tuple[tuple[re.Pattern, str], ...] = field(repr=False)
+    _abstractors: tuple[re.Pattern, ...] = field(repr=False)
 
 
 def _instantiate(template: str, project_key: str) -> str:
@@ -123,14 +125,9 @@ def build_patterns(tracker: TrackerKind, project_key: str = "") -> PatternSet:
         # collapses to a single token instead of leaving URL debris behind.
         issue_abstraction = [_instantiate(_JIRA_URL, key), _instantiate(_JIRA_ID, key)]
 
-    abstraction = [(src, ABSTRACT_ISSUE_ID) for src in issue_abstraction]
-    abstraction.append((_GENERIC_URL, ABSTRACT_URL))
-
     try:
         detectors = tuple(_compile_detector(src) for src in detection)
-        abstractors = tuple(
-            (re.compile(src, re.IGNORECASE), token) for src, token in abstraction
-        )
+        abstractors = tuple(re.compile(src, re.IGNORECASE) for src in issue_abstraction)
     except re.error as exc:
         raise ConfigError(f"pattern for {tracker.value} failed to compile: {exc}") from exc
 
@@ -138,7 +135,8 @@ def build_patterns(tracker: TrackerKind, project_key: str = "") -> PatternSet:
         tracker=tracker,
         project_key=key.upper(),
         detection_patterns=tuple(detection),
-        abstraction_patterns=tuple(abstraction),
+        abstraction_patterns=(*((src, ABSTRACT_ISSUE_ID) for src in issue_abstraction),
+                              (_GENERIC_URL, ABSTRACT_URL)),
         _detectors=detectors,
         _abstractors=abstractors,
     )
@@ -230,21 +228,15 @@ def abstract_terms(comment_text: str, patterns: Patterns) -> str:
     """Replace issue ids/URLs with ``abstractissueid`` and other URLs with
     ``abstracturl``.
 
-    Issue abstraction runs first (across every set), the generic URL rule
-    last.  The operation is idempotent: the placeholder tokens match none
-    of the patterns.
+    Every set's issue rules run first, in set order, and the generic URL
+    rule once, last.  The operation is idempotent: the placeholder tokens
+    match none of the patterns.
     """
     text = comment_text
-    generic: re.Pattern | None = None
     for pset in _pattern_sets(patterns):
-        for pattern, token in pset._abstractors:
-            if token == ABSTRACT_URL:
-                generic = pattern
-            else:
-                text = pattern.sub(token, text)
-    if generic is not None:
-        text = generic.sub(ABSTRACT_URL, text)
-    return text
+        for pattern in pset._abstractors:
+            text = pattern.sub(ABSTRACT_ISSUE_ID, text)
+    return _GENERIC_ABSTRACTOR.sub(ABSTRACT_URL, text)
 
 
 def dump_pattern_sources(patterns: Patterns) -> str:
