@@ -9,11 +9,12 @@ cross-validation, summarize ``lifecycle`` statistics, and render a
 stdout or ``--out``, so identical inputs and seeds yield byte-identical
 output files.
 
-The learning stack (``learn``, ``ngrams``, ``textprep``, ``evalstats``
-and with them numpy) is imported only by the commands that use it:
-``train``, ``classify``, ``evaluate`` and ``lifecycle``.  ``mine``,
-``detect``, ``check`` and ``report`` learn nothing and start without
-it; the parser's algorithm and variant names come from ``datasetio``.
+The learning stack (``learn``, ``ngrams``, ``evalstats`` and with them
+numpy, and the numpy-free ``textprep``) is imported only by the commands
+that use it: ``train``, ``classify``, ``evaluate`` and ``lifecycle``.
+``mine``, ``detect``, ``check`` and ``report`` learn nothing and start
+without it; the parser's algorithm and variant names come from
+``datasetio``.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ whitespace, lemmatize each token.  Stop words are deliberately kept --
 words like "when" and "until" carry the waiting-condition signal this
 package exists to detect.
 
-``preprocess_many`` runs the pipeline over a chunk of texts at once,
-one abstraction pass and one tokenizing pass per chunk, with each
-distinct token of the chunk lemmatized once; ``preprocess`` is its
-one-text case.
+``preprocess_many`` runs the pipeline over many texts in one pass: one
+abstraction pass over the texts joined by line breaks, with each
+distinct word lemmatized once; ``preprocess`` is its one-text case.
+Its memory grows with the batch, so ``classify`` passes one score chunk
+of rows at a time.
 """
 
 from __future__ import annotations
@@ -18,16 +19,16 @@ import re
 from collections.abc import Iterator, Mapping, Sequence
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 from .errors import DataFormatError, read_utf8
 from .issues import Patterns, abstract_terms
-from .learn import score_chunks
 
 TokenSequence = list[str]
 
 _SPECIAL_CHARS = re.compile(r"[^A-Za-z0-9]+")
-_TOKEN_OR_BREAK = re.compile(r"[A-Za-z0-9]+|\n")
+_WORD = re.compile(r"[A-Za-z0-9]+")
 _LOWER_ALPHA = re.compile(r"^[a-z]+$")
 
 _VOWELS = frozenset("aeiou")
@@ -203,8 +204,8 @@ def preprocess(
 ) -> TokenSequence:
     """Full pipeline: abstract, lowercase, clean, tokenize, lemmatize.
 
-    A ``LemmaTable`` lemmatizes each distinct token once; any other
-    table lemmatizes every distinct token of the text.
+    A ``LemmaTable`` remembers its lemmas from call to call; a plain
+    mapping, or ``None`` for the bundled table, is wrapped in a new one.
     """
     return preprocess_many([comment_text], patterns, lemma_table)[0]
 
@@ -214,36 +215,23 @@ def preprocess_many(
     patterns: Patterns,
     lemma_table: Mapping[str, str] | None = None,
 ) -> list[TokenSequence]:
-    """``preprocess`` of each text, a chunk of texts at a time.
+    """``preprocess`` of each text, in one pass over them all.
 
-    A chunk is abstracted and lowercased as one string, its texts joined
-    by line breaks, and tokenized by one ``findall`` that also yields each
-    line break.  Text i then owns the tokens of the next
+    The texts are abstracted and lowercased as one string, joined by line
+    breaks, and split back at them: text i owns the next
     ``texts[i].count("\\n") + 1`` lines.  This equals one text at a time
     because no abstraction pattern matches a line break, a line start
     looks like a string start to ``(?<![A-Za-z])`` and ``\\b``, and
     lowercasing is per character (its one context rule, the Greek final
     sigma, reads a line break as a text boundary).
     """
-    if isinstance(lemma_table, LemmaTable):
-        lemma = lemma_table.lemma
-    else:
-        def lemma(token: str) -> str:
-            return lemmatize(token, lemma_table)
-    out: list[TokenSequence] = []
-    for start, end in score_chunks(len(texts)):
-        chunk = texts[start:end]
-        flat = _TOKEN_OR_BREAK.findall(abstract_terms("\n".join(chunk), patterns).lower())
-        flat.append("\n")  # every line, the last too, ends at a line break
-        lemmas = {token: lemma(token) for token in set(flat) if token != "\n"}
-        lemmas["\n"] = "\n"
-        lemmatized = list(map(lemmas.__getitem__, flat))
-        pos = 0
-        for text in chunk:
-            row: TokenSequence = []
-            for _ in range(text.count("\n") + 1):
-                line_end = flat.index("\n", pos)
-                row += lemmatized[pos:line_end]
-                pos = line_end + 1
-            out.append(row)
-    return out
+    if not isinstance(lemma_table, LemmaTable):
+        lemma_table = LemmaTable(_default_lemma_table() if lemma_table is None else lemma_table)
+    lines = abstract_terms("\n".join(texts), patterns).lower().split("\n")
+    rows: list[TokenSequence] = []
+    end = 0
+    for text in texts:
+        start, end = end, end + text.count("\n") + 1
+        rows.append(_WORD.findall(" ".join(lines[start:end])))
+    lemmas = {word: lemma_table.lemma(word) for word in set(chain.from_iterable(rows))}
+    return [[lemmas[word] for word in row] for row in rows]
