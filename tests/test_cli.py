@@ -472,9 +472,17 @@ class TestPipeline:
             lambda payload: payload.update(version=2),
             lambda payload: payload.update(decision_threshold=float("nan")),
             lambda payload: payload.update(decision_threshold=2.0),
+            # int() and float() used to convert the next five, so each loaded.
+            lambda payload: payload.update(decision_threshold="0.5"),
+            lambda payload: payload.update(n_features=str(payload["n_features"])),
+            lambda payload: payload.update(seed=7.9),
+            lambda payload: payload.update(hyperparameters="x"),
+            lambda payload: payload.update(version=True),
+            lambda payload: payload.update(vocabulary_hash=5),
         ],
         ids=["no-state", "empty-state", "wrong-shape", "version", "nan-threshold",
-             "threshold-above-one"],
+             "threshold-above-one", "threshold-string", "n-features-string", "seed-float",
+             "hyperparameters-string", "version-bool", "hash-int"],
     )
     def test_malformed_model_file_is_a_user_error(
         self, dataset_path, tmp_path, capsys, corrupt
@@ -482,31 +490,6 @@ class TestPipeline:
         model, vocab = self.train(dataset_path, tmp_path)
         payload = json.loads(model.read_text(encoding="utf-8"))
         corrupt(payload)
-        model.write_text(json.dumps(payload), encoding="utf-8")
-        capsys.readouterr()
-        code = cli_main(
-            ["classify", "--model", str(model), "--vocab", str(vocab),
-             "--input", str(dataset_path), "--out", str(tmp_path / "p.tsv")]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {model}")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [("decision_threshold", "0.5"), ("n_features", "n_features"), ("seed", 7.9),
-         ("hyperparameters", "x"), ("version", True), ("vocabulary_hash", 5)],
-        ids=["threshold-string", "n-features-string", "seed-float", "hyperparameters-string",
-             "version-bool", "hash-int"],
-    )
-    def test_a_header_field_of_the_wrong_type_is_a_data_format_error(
-        self, dataset_path, tmp_path, capsys, field, value
-    ):
-        # int() and float() used to convert these, so each edit loaded and classified.
-        model, vocab = self.train(dataset_path, tmp_path)
-        payload = json.loads(model.read_text(encoding="utf-8"))
-        payload[field] = str(payload["n_features"]) if value == "n_features" else value
         model.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(DataFormatError, match=re.escape(str(model))):
             learn.load_model(model)
@@ -517,7 +500,7 @@ class TestPipeline:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {model}: ")
+        assert err.startswith(f"error: {model}")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
