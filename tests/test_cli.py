@@ -134,19 +134,21 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "payload",
         [
-            "[]",
-            '{"schema_version": 1, "findings": 3}',
-            '{"schema_version": 1, "findings": ["x"]}',
-            '{"schema_version": 1, "findings": [{"introduced_date": 5}]}',
+            b"[]",
+            b'{"schema_version": 1, "findings": 3}',
+            b'{"schema_version": 1, "findings": ["x"]}',
+            b'{"schema_version": 1, "findings": [{"introduced_date": 5}]}',
+            b'{"schema_version": 1\xff}',
         ],
-        ids=["list", "findings-not-a-list", "finding-not-an-object", "date-not-a-string"],
+        ids=["list", "findings-not-a-list", "finding-not-an-object", "date-not-a-string",
+             "not-utf8"],
     )
     def test_report_input_of_the_wrong_shape(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"
-        bad.write_text(payload, encoding="utf-8")
+        bad.write_bytes(payload)
         assert cli_main(["report", "--input", str(bad)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        assert err.startswith(f"error: {bad}: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -304,16 +306,8 @@ class TestProjectConfig:
             "project_key": "HADOOP", "base_url": "https://issues.example.org",
             "cache_dir": "caché",
         }).encode("utf-8")
-        fuzzed_bytes = bytearray(original)
-        if data.draw(st.booleans(), label="flip"):
-            for _ in range(data.draw(st.integers(1, 3))):
-                fuzzed_bytes[data.draw(st.integers(0, len(original) - 1))] ^= data.draw(
-                    st.integers(1, 255))
-        else:
-            at = data.draw(st.integers(0, len(original)))
-            del fuzzed_bytes[at:at + data.draw(st.integers(1, 16))]
         path = root / "project.json"
-        path.write_bytes(bytes(fuzzed_bytes))
+        path.write_bytes(flipped_or_cut(data, original))
         try:
             assert isinstance(load_project_config(path), ProjectConfig)
         except ConfigError as exc:
@@ -504,6 +498,38 @@ class TestPipeline:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "algorithm,hyperparameters",
+        [
+            ("NaiveBayes", {"bogus": [1, 2]}),
+            ("NaiveBayes", {}),
+            ("NaiveBayes", {"alpha": 0}),
+            ("NaiveBayes", {"alpha": True}),
+            ("NaiveBayes", {"alpha": "1"}),
+            ("KNN", {"k": "5"}),
+            ("KNN", {"k": 5.0}),
+            ("KNN", {"k": 0}),
+        ],
+        ids=["unknown-key", "no-keys", "alpha-zero", "alpha-bool", "alpha-string",
+             "k-string", "k-float", "k-zero"],
+    )
+    def test_model_hyperparameters_are_checked(
+        self, dataset_path, tmp_path, capsys, algorithm, hyperparameters
+    ):
+        model, vocab = self.train(dataset_path, tmp_path, "--algorithm", algorithm)
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        payload["hyperparameters"] = hyperparameters
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = cli_main(
+            ["classify", "--model", str(model), "--vocab", str(vocab),
+             "--input", str(dataset_path), "--out", str(tmp_path / "p.tsv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "text",
         ["a\t2\n", "a\t2\tmany\n", "a\t2\t1.0\na\t3\t2.0\n"],
         ids=["short-line", "bad-weight", "duplicate-term"],
@@ -554,16 +580,23 @@ class TestPipeline:
         assert err == f"error: {source}: missing required columns: comment_text\n"
 
     @pytest.mark.parametrize(
-        "answer",
-        [[1], {"fields": {"status": {"name": "Resolved"}, "resolutiondate": "soon"}}],
-        ids=["not-an-object", "bad-date"],
+        "answer,reason",
+        [
+            (b"[1]", "malformed response"),
+            (json.dumps({"fields": {"status": {"name": "Resolved"}, "resolutiondate": "soon"}})
+             .encode("utf-8"), "malformed response"),
+            # A recorded answer that is not JSON reads as {}, as a live one does.
+            (b"not json", "no status in response"),
+            (b"\xff", "no status in response"),
+        ],
+        ids=["not-an-object", "bad-date", "not-json", "not-utf8"],
     )
     def test_check_skips_an_issue_whose_answer_has_the_wrong_shape(
-        self, tmp_path, caplog, answer
+        self, tmp_path, caplog, answer, reason
     ):
         fixtures = tmp_path / "fixtures"
         fixtures.mkdir()
-        (fixtures / "jira_HADOOP-1.json").write_text(json.dumps(answer), encoding="utf-8")
+        (fixtures / "jira_HADOOP-1.json").write_bytes(answer)
         (fixtures / "jira_HADOOP-6223.json").write_text(
             (FIXTURE_DIR / "jira_HADOOP-6223.json").read_text(encoding="utf-8"),
             encoding="utf-8",
@@ -583,7 +616,8 @@ class TestPipeline:
         assert code == 0
         findings = json.loads(out.read_text(encoding="utf-8"))["findings"]
         assert [f["issue_key"] for f in findings] == ["HADOOP-6223"]
-        assert "skipping issue HADOOP-1: jira issue HADOOP-1: malformed response" in caplog.text
+        assert f"skipping issue HADOOP-1: jira issue HADOOP-1: {reason}" in caplog.text
+        assert caplog.text.count("skipping issue") == 1
         (cache_file,) = (tmp_path / "cache").iterdir()
         assert list(json.loads(cache_file.read_text(encoding="utf-8"))) == ["HADOOP-6223"]
 
@@ -1198,6 +1232,16 @@ class TestEvaluate:
         assert "error: no vocabulary term survived" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("k", ["1", "0", "-3"])
+    def test_fewer_than_two_folds_are_refused(self, k, dataset_path, monkeypatch, capsys):
+        def no_fold(*args, **kwargs):
+            raise AssertionError("a fold ran")
+
+        monkeypatch.setattr(learn, "featurize", no_fold)
+        assert cli_main(["evaluate", "--dataset", str(dataset_path), "--k", k]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"\nerror: evaluation needs k >= 2 folds, got k={k}\n")
+
     def test_unknown_variant_is_rejected(self, dataset_path, capsys):
         assert cli_main(
             ["evaluate", "--dataset", str(dataset_path), "--variants", "magic"]
@@ -1675,6 +1719,91 @@ class TestClassifyModelFuzz:
             code = cli_main(argv)
         assert code == (1 if failed else 0)
         assert "Traceback" not in stderr.getvalue()
+
+
+def flipped_or_cut(data, original: bytes) -> bytes:
+    """The bytes with 1-3 of them flipped, or with a run of 1-16 deleted."""
+    fuzzed_bytes = bytearray(original)
+    if data.draw(st.booleans(), label="flip"):
+        for _ in range(data.draw(st.integers(1, 3))):
+            fuzzed_bytes[data.draw(st.integers(0, len(original) - 1))] ^= data.draw(
+                st.integers(1, 255))
+    else:
+        at = data.draw(st.integers(0, len(original)))
+        del fuzzed_bytes[at:at + data.draw(st.integers(1, 16))]
+    return bytes(fuzzed_bytes)
+
+
+def assert_ends_cleanly(argv: list[str]) -> None:
+    """The command exits 0, or 1 after an ``error:`` line or 2 after an ``environment error:`` one."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    if code != 0:
+        prefix = {1: "error: ", 2: "environment error: "}[code]
+        assert err.splitlines()[-1].startswith(prefix)
+
+
+class TestFuzzedInputs:
+    """Flipped or deleted bytes in the inputs of train, evaluate and check end cleanly."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("input-fuzz")
+
+    @pytest.fixture(scope="class")
+    def dataset(self, root):
+        path = root / "dataset.tsv"
+        datasetio.save_dataset(
+            [datasetio.DatasetRow(text, f"src/A{i}.java", 10 + i, f"HADOOP-{101 + i}",
+                                  Label.ON_HOLD if i < len(ON_HOLD_TEXTS) else
+                                  Label.CROSS_REFERENCE)
+             for i, text in enumerate(ON_HOLD_TEXTS + CROSS_TEXTS)],
+            path,
+        )
+        return path.read_bytes()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_train_and_evaluate_end_cleanly(self, root, dataset, data):
+        path = root / "fuzzed-dataset.tsv"
+        path.write_bytes(flipped_or_cut(data, dataset))
+        assert_ends_cleanly(["train", "--dataset", str(path), "--algorithm", "NaiveBayes",
+                             "--model", str(root / "m.json"), "--vocab", str(root / "v.tsv")])
+        assert_ends_cleanly(["evaluate", "--dataset", str(path), "--k", "2",
+                             "--variants", "ngram-nb", "--out", str(root / "results.tsv")])
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_check_ends_cleanly(self, root, data):
+        table = datasetio.format_table(
+            ("comment_text", "file_path", "line_number", "end_line", "issue_key", "tracker",
+             "introduced_commit", "introduced_date", "removed_commit", "removed_date",
+             "predicted_label", "score"),
+            [["remove this workaround after HADOOP-6223 is fixed", "src/A.java", "10", "10",
+              "HADOOP-6223", "jira", "abcdef012345", "2019-07-01T09:30:00Z", "", "",
+              "OnHold", "0.75"],
+             ["drop once HADOOP-1 lands\nin trunk", "src/B.java", "5", "6", "HADOOP-1", "jira",
+              "abcdef012345", "2019-07-01T09:30:00Z", "", "", "OnHold", "0.5"]],
+        ).encode("utf-8")
+        answer = (FIXTURE_DIR / "jira_HADOOP-6223.json").read_bytes()
+        target = data.draw(st.sampled_from(["table", "answer", "both"]), label="target")
+        if target != "answer":
+            table = flipped_or_cut(data, table)
+        if target != "table":
+            answer = flipped_or_cut(data, answer)
+        fixtures = root / "fixtures"
+        fixtures.mkdir(exist_ok=True)
+        (fixtures / "jira_HADOOP-6223.json").write_bytes(answer)
+        predictions = root / "predictions.tsv"
+        predictions.write_bytes(table)
+        assert_ends_cleanly(["check", "--input", str(predictions), "--fixtures", str(fixtures),
+                             "--tracker", "jira", "--project", "HADOOP",
+                             "--out", str(root / "check.json")])
 
 
 class TestImportBoundary:

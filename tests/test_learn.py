@@ -257,6 +257,24 @@ class TestTrainValidation:
         with pytest.raises(ConfigError):
             train(SEPARABLE, algorithm, hp)
 
+    @pytest.mark.parametrize(
+        "algorithm,hp",
+        [
+            ("NaiveBayes", {"bogus": 1}),
+            ("KNN", {"k": "5"}),
+            ("KNN", {"k": 5.0}),
+            ("KNN", {"k": True}),
+        ],
+    )
+    def test_unknown_or_wrong_typed_hyperparameters(self, algorithm, hp):
+        with pytest.raises(ConfigError):
+            train(SEPARABLE, algorithm, hp)
+
+    def test_an_int_stands_for_a_float_and_for_no_depth_bound(self):
+        assert train(SEPARABLE, "NaiveBayes", {"alpha": 1}).hyperparameters == {"alpha": 1}
+        model = train(SEPARABLE, "ExtraTrees", {"n_trees": 3, "max_depth": 2})
+        assert model.hyperparameters == {"n_trees": 3, "max_depth": 2}
+
     def test_prediction_outside_feature_space_is_rejected(self):
         model = train(SEPARABLE, "NaiveBayes")
         with pytest.raises(ValueError):
