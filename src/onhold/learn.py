@@ -5,8 +5,10 @@ RandomForest ensembles (100 trees, gini impurity, sqrt-F feature
 subsampling per node), Bernoulli naive Bayes with add-one smoothing, a
 linear SVM trained by Pegasos-style stochastic subgradient descent, and
 k-nearest-neighbours under Jaccard distance on feature index sets.
-Each is one class, listed once in ``_LEARNERS``, that fits, scores,
-saves and checks itself.  The algorithm names (``ALGORITHMS``) and
+Each is one class, listed once in ``_LEARNERS``, that fits, scores
+and saves itself.  ``merged_hyperparameters`` checks a learner's
+hyperparameters against its ``defaults``, for ``train`` and
+``load_model`` alike.  The algorithm names (``ALGORITHMS``) and
 ``Label`` are defined in ``datasetio``, which needs no numpy, so the
 CLI can offer them without importing this module.
 
@@ -409,10 +411,11 @@ def _tree_fits(tree: dict[str, Any], n_features: int) -> bool:
 # the learners
 #
 # One class per algorithm holds its ``defaults``, the ``grid`` entries
-# ``select_model`` searches, ``check`` of merged hyperparameters, the
-# classmethod ``fit(x, y, hp, seed)``, ``predict_proba`` of a 0/1
-# matrix, and ``state``/``from_state`` for the model file.  ``from_state``
-# raises ValueError when a saved state does not fit ``n_features``.
+# ``select_model`` searches, the classmethod ``fit(x, y, hp, seed)`` of
+# hyperparameters that ``merged_hyperparameters`` has checked, ``predict_proba``
+# of a 0/1 matrix, and ``state``/``from_state`` for the model file.
+# ``from_state`` raises ValueError when a saved state does not fit
+# ``n_features``.
 
 @dataclass
 class _ExtraTrees:
@@ -423,13 +426,6 @@ class _ExtraTrees:
     defaults = {"n_trees": 100, "max_depth": None}
     grid = ({"n_trees": 100, "max_depth": None}, {"n_trees": 100, "max_depth": 10})
     bootstrap = False
-
-    @staticmethod
-    def check(hp: dict[str, Any]) -> None:
-        if int(hp["n_trees"]) < 1:
-            raise ConfigError("n_trees must be >= 1")
-        if hp["max_depth"] is not None and int(hp["max_depth"]) < 1:
-            raise ConfigError("max_depth must be None or >= 1")
 
     @classmethod
     def fit(cls, x: np.ndarray, y: np.ndarray, hp: dict[str, Any], seed: int) -> "_ExtraTrees":
@@ -505,14 +501,9 @@ class _NaiveBayes:
     defaults = {"alpha": 1.0}
     grid = ({"alpha": 1.0},)
 
-    @staticmethod
-    def check(hp: dict[str, Any]) -> None:
-        if float(hp["alpha"]) <= 0:
-            raise ConfigError("alpha must be > 0")
-
     @classmethod
     def fit(cls, x: np.ndarray, y: np.ndarray, hp: dict[str, Any], seed: int) -> "_NaiveBayes":
-        alpha = float(hp["alpha"])
+        alpha = hp["alpha"]
         n_features = x.shape[1]
         log_prior = np.zeros(2)
         log_p1 = np.zeros((2, n_features))
@@ -567,15 +558,9 @@ class _LinearSVM:
     defaults = {"lam": 1e-2, "epochs": 30}
     grid = ({"lam": 1e-2, "epochs": 30}, {"lam": 1e-4, "epochs": 30})
 
-    @staticmethod
-    def check(hp: dict[str, Any]) -> None:
-        if float(hp["lam"]) <= 0 or int(hp["epochs"]) < 1:
-            raise ConfigError("lam must be > 0 and epochs >= 1")
-
     @classmethod
     def fit(cls, x: np.ndarray, y: np.ndarray, hp: dict[str, Any], seed: int) -> "_LinearSVM":
-        lam = float(hp["lam"])
-        epochs = int(hp["epochs"])
+        lam, epochs = hp["lam"], hp["epochs"]
         n_rows = x.shape[0]
         xa = np.empty((n_rows, x.shape[1] + 1))
         xa[:, :-1] = x
@@ -620,14 +605,9 @@ class _KNN:
     defaults = {"k": 5}
     grid = ({"k": 1}, {"k": 5})
 
-    @staticmethod
-    def check(hp: dict[str, Any]) -> None:
-        if int(hp["k"]) < 1:
-            raise ConfigError("k must be >= 1")
-
     @classmethod
     def fit(cls, x: np.ndarray, y: np.ndarray, hp: dict[str, Any], seed: int) -> "_KNN":
-        return cls(x, y, int(hp["k"]))
+        return cls(x, y, hp["k"])
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         # A float32 BLAS product counts exactly while counts stay below
@@ -678,6 +658,35 @@ DEFAULT_GRID: tuple[tuple[str, dict[str, Any]], ...] = tuple(
     (name, hp) for name, learner in _LEARNERS.items() for hp in learner.grid
 )
 
+# Each value takes its default's type and is positive.  An int may stand
+# for a float, and a None default (no depth bound) also takes an int.
+_HP_RULES = {
+    int: ((int,), ">= 1 (an int)"),
+    float: ((int, float), "> 0 (a finite int or float)"),
+    type(None): ((type(None), int), "None or >= 1 (an int)"),
+}
+
+
+def merged_hyperparameters(algorithm: str, given: dict, complete: bool = False) -> dict[str, Any]:
+    """The algorithm's defaults updated by ``given``; ConfigError unless each value fits.
+
+    ``given`` holds only the defaults' keys, and all of them when
+    ``complete``, as ``save_model`` writes them.  A bool is no int.
+    """
+    defaults = _LEARNERS[algorithm].defaults
+    if not given.keys() <= defaults.keys() or complete and len(given) < len(defaults):
+        raise ConfigError(
+            f"bad hyperparameters for {algorithm}: got keys {list(given)}, known {list(defaults)}"
+        )
+    hp = {**defaults, **given}
+    for key, value in hp.items():
+        types, rule = _HP_RULES[type(defaults[key])]
+        if type(value) not in types or value is not None and not 0 < value < math.inf:
+            raise ConfigError(
+                f"bad hyperparameters for {algorithm}: {key} must be {rule}, got {value!r}"
+            )
+    return hp
+
 
 # --------------------------------------------------------------------------
 # public API
@@ -718,12 +727,7 @@ def train(
             "training needs both classes; got "
             f"{counts[Label.ON_HOLD]} OnHold / {counts[Label.CROSS_REFERENCE]} CrossReference"
         )
-    learner = _LEARNERS[algorithm]
-    hp = {**learner.defaults, **(hyperparameters or {})}
-    try:
-        learner.check(hp)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad hyperparameters for {algorithm}: {exc}") from exc
+    hp = merged_hyperparameters(algorithm, hyperparameters or {})
     return TrainedModel(
         algorithm=algorithm,
         hyperparameters=hp,
@@ -731,7 +735,7 @@ def train(
         decision_threshold=0.5,
         seed=seed,
         vocabulary_hash=None,
-        _impl=learner.fit(dataset.x, dataset.y, hp, seed),
+        _impl=_LEARNERS[algorithm].fit(dataset.x, dataset.y, hp, seed),
     )
 
 
@@ -1025,7 +1029,9 @@ def load_model(path: str | Path) -> TrainedModel:
             raise ValueError(f"decision_threshold {threshold!r} is not in [0, 1]")
         return TrainedModel(
             algorithm=algorithm,
-            hyperparameters=payload["hyperparameters"],
+            hyperparameters=merged_hyperparameters(
+                algorithm, payload["hyperparameters"], complete=True
+            ),
             n_features=n_features,
             decision_threshold=threshold,
             seed=payload["seed"],
@@ -1036,5 +1042,5 @@ def load_model(path: str | Path) -> TrainedModel:
         raise DataFormatError(f"{path}: model file lacks {exc}") from exc
     # A KNN state's dense rows take rows x n_features bytes, so a file
     # claiming billions of features fails to allocate them.
-    except (TypeError, ValueError, OverflowError, MemoryError) as exc:
+    except (ConfigError, TypeError, ValueError, OverflowError, MemoryError) as exc:
         raise DataFormatError(f"{path}: malformed model file: {exc}") from exc

@@ -14,7 +14,9 @@ training comments containing g contiguously:
 
 The bisection with the largest df product is the most conservative
 baseline, so a term only keeps positive weight when it beats every way
-of explaining it from two parts.
+of explaining it from two parts.  ``extract_terms`` counts every
+n-gram's df once, into one ``Counter``, and ``weight_term`` reads each
+weight straight off it.
 
 ``term_matrix`` finds the terms of many comments at once.  The
 vocabulary holds its token trie as sorted integer edge keys, the goto
@@ -30,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from itertools import chain, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,49 +47,25 @@ MIN_DOC_FREQ = 2
 def enumerate_ngrams(comment: Sequence[str], max_n: int = MAX_NGRAM_LEN) -> set[TokenTuple]:
     """All distinct contiguous n-grams of the comment with n <= max_n."""
     tokens = tuple(comment)
-    grams: set[TokenTuple] = set()
-    for n in range(1, min(max_n, len(tokens)) + 1):
-        for start in range(len(tokens) - n + 1):
-            grams.add(tokens[start:start + n])
-    return grams
+    lengths = range(1, min(max_n, len(tokens)) + 1)
+    return {tokens[start:start + n] for n in lengths for start in range(len(tokens) - n + 1)}
 
 
-class CorpusStats:
-    """Document-frequency table of every n-gram (n <= max_n) of a comment corpus."""
+def weight_term(term: Sequence[str], doc_freq: Counter[TokenTuple], n_docs: int) -> float:
+    """n-gram IDF weight of a term occurring in the corpus.
 
-    def __init__(self, comments: Iterable[Sequence[str]], max_n: int = MAX_NGRAM_LEN):
-        self.max_n = max_n
-        self.n_documents = 0
-        self._df: Counter[TokenTuple] = Counter()
-        for comment in comments:
-            self.n_documents += 1
-            self._df.update(enumerate_ngrams(comment, max_n))
-
-    def doc_freq(self, term: Sequence[str]) -> int:
-        tokens = tuple(term)
-        if len(tokens) > self.max_n:
-            raise ValueError(f"term {tokens!r} is longer than max_n={self.max_n}")
-        return self._df[tokens]
-
-    def known_terms(self) -> Iterator[TokenTuple]:
-        return iter(self._df)
-
-
-def weight_term(term: Sequence[str], corpus_stats: CorpusStats) -> float:
-    """n-gram IDF weight of a term occurring in the corpus."""
+    ``doc_freq`` holds the document frequency of every n-gram of the
+    corpus's ``n_docs`` comments, as ``extract_terms`` counts it.
+    """
     tokens = tuple(term)
     if not tokens:
         raise ValueError("empty term")
-    df = corpus_stats.doc_freq(tokens)
+    df = doc_freq[tokens]
     if df == 0:
         raise ValueError(f"term {tokens!r} does not occur in the corpus")
-    n_docs = corpus_stats.n_documents
     if len(tokens) == 1:
         return math.log(n_docs / df) + 1.0
-    baseline = max(
-        corpus_stats.doc_freq(tokens[:i]) * corpus_stats.doc_freq(tokens[i:])
-        for i in range(1, len(tokens))
-    )
+    baseline = max(doc_freq[tokens[:i]] * doc_freq[tokens[i:]] for i in range(1, len(tokens)))
     return max(math.log(n_docs * df / baseline), 0.0)
 
 
@@ -201,13 +179,12 @@ def extract_terms(
     """
     if not 1 <= max_n <= MAX_NGRAM_LEN:
         raise ValueError(f"max_n must be in 1..{MAX_NGRAM_LEN}")
-    stats = CorpusStats(positive_comments, max_n)
+    doc_freq = Counter(chain.from_iterable(enumerate_ngrams(c, max_n) for c in positive_comments))
     terms = []
-    for tokens in stats.known_terms():
-        df = stats.doc_freq(tokens)
+    for tokens, df in doc_freq.items():
         if df < min_df:
             continue
-        weight = weight_term(tokens, stats)
+        weight = weight_term(tokens, doc_freq, len(positive_comments))
         if weight > 0.0:
             terms.append(NGramTerm(tokens, df, weight))
     terms.sort(key=lambda t: (-t.weight, t.tokens))

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import random
 import re
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from hypothesis import strategies as st
 from onhold.errors import DataFormatError
 from onhold.ngrams import (
     MAX_NGRAM_LEN,
-    CorpusStats,
     FeatureVector,
     NGramTerm,
     NGramVocabulary,
@@ -53,44 +54,40 @@ class TestEnumerateNgrams:
         assert enumerate_ngrams(["a", "a"], max_n=2) == {("a",), ("a", "a")}
 
 
+def weigh(term, comments):
+    """weight_term over the document frequencies that extract_terms counts for the comments."""
+    doc_freq = Counter(chain.from_iterable(map(enumerate_ngrams, comments)))
+    return weight_term(term, doc_freq, len(comments))
+
+
 class TestWeightTerm:
     def test_unigram_weight(self):
-        stats = CorpusStats(CORPUS)
-        assert weight_term(["a"], stats) == pytest.approx(math.log(2) + 1)
+        assert weigh(["a"], CORPUS) == pytest.approx(math.log(2) + 1)
 
     def test_rare_unigram_weighs_more(self):
-        stats = CorpusStats(CORPUS)
-        assert weight_term(["d"], stats) == pytest.approx(math.log(4) + 1)
+        assert weigh(["d"], CORPUS) == pytest.approx(math.log(4) + 1)
 
     def test_bigram_weight(self):
-        stats = CorpusStats(CORPUS)
         # df(a b) = 2, baseline df(a) * df(b) = 4: log(4 * 2 / 4) = log 2.
-        assert weight_term(["a", "b"], stats) == pytest.approx(math.log(2))
+        assert weigh(["a", "b"], CORPUS) == pytest.approx(math.log(2))
 
     def test_saturated_bigram_weighs_zero(self):
-        stats = CorpusStats([["a", "b"]] * 4)
         # df(a b) = df(a) = df(b) = 4: log(4 * 4 / 16) = 0.
-        assert weight_term(["a", "b"], stats) == 0.0
+        assert weigh(["a", "b"], [["a", "b"]] * 4) == 0.0
 
     def test_trigram_uses_the_largest_bisection(self):
         docs = [["x", "y", "z"], ["x", "y", "z"], ["x", "y"], ["z"]]
-        stats = CorpusStats(docs)
         # Splits: (x)(y z) gives 3 * 2 = 6, (x y)(z) gives 3 * 3 = 9.
         # log(4 * 2 / 9) < 0, so the weight clamps to zero.
-        assert weight_term(["x", "y", "z"], stats) == 0.0
+        assert weigh(["x", "y", "z"], docs) == 0.0
 
     def test_empty_term_is_rejected(self):
         with pytest.raises(ValueError):
-            weight_term([], CorpusStats(CORPUS))
+            weigh([], CORPUS)
 
     def test_unseen_term_is_rejected(self):
         with pytest.raises(ValueError):
-            weight_term(["zz"], CorpusStats(CORPUS))
-
-
-    def test_term_longer_than_max_n_is_rejected(self):
-        with pytest.raises(ValueError, match="longer than max_n=1"):
-            CorpusStats(CORPUS, max_n=1).doc_freq(["a", "b"])
+            weigh(["zz"], CORPUS)
 
 
 class TestExtractTerms:
