@@ -38,6 +38,7 @@ from .errors import (
     TrackerError,
     TrainingError,
     WorkerError,
+    read_utf8,
 )
 from .issues import (
     JIRA_KEY,
@@ -583,10 +584,13 @@ def _cmd_lifecycle(args: argparse.Namespace) -> None:
 
 def _cmd_report(args: argparse.Namespace) -> None:
     try:
-        payload = json.loads(Path(args.input).read_text(encoding="utf-8"))
+        payload = json.loads(read_utf8(args.input))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{args.input}: not valid JSON: {exc}") from exc
-    recommendations = report.recommendations_from_payload(payload)
+    try:
+        recommendations = report.recommendations_from_payload(payload)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{args.input}: {exc}") from exc
     _emit(report.render_report(recommendations, args.format), args.out)
 
 

@@ -428,6 +428,9 @@ def evaluate_variants(
     for variant in variants:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    # One fold would leave no row to train on.
+    if k < 2:
+        raise ValueError(f"evaluation needs k >= 2 folds, got k={k}")
 
     indices = list(range(len(comments)))
     folds = kfold_split(indices, k=k, seed=seed)

@@ -134,7 +134,11 @@ class FixtureTransport:
         path = self.fixture_dir / f"{config.tracker.value}_{key}.json"
         if not path.exists():
             return 404, {}
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        # An answer that is not JSON reads as {}, as HttpTransport reads one.
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError
+            payload = {}
         status = int(payload.pop("_http_status", 200)) if isinstance(payload, dict) else 200
         return status, payload
 
