@@ -717,7 +717,7 @@ def train(
     """Fit one classifier on the dataset.
 
     Raises TrainingError when a class is absent and ConfigError for an
-    unknown algorithm or out-of-range hyperparameters.
+    unknown algorithm or hyperparameters ``merged_hyperparameters`` refuses.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
